@@ -1677,17 +1677,16 @@ let with_fleet_worker_client k =
   let sock = Filename.temp_file "fq_bench_fleet" ".sock" in
   Sys.remove sock;
   let addr = Server.Unix_path sock in
-  let base = Fleet.default_config ~state:family_state addr in
+  let serve = Server.default_config ~state:family_state addr in
   let cfg =
-    { base with
+    { (Fleet.default_config { serve with Server.jobs = 2; log = (fun _ -> ()) }) with
       Fleet.workers = 2;
       (* the probes stay on (the supervision plane is part of what is
          being measured) but are made load-proof: under `dune build`
          every BENCH rule runs at once, and a starved worker that
          merely answers slowly must not be health-killed mid-pass *)
       probe_timeout_ms = 5_000;
-      probe_failures = 1_000;
-      serve = { base.Fleet.serve with Server.jobs = 2; log = (fun _ -> ()) } }
+      probe_failures = 1_000 }
   in
   let result = ref (Error "fleet never returned") in
   let th = Thread.create (fun () -> result := Fleet.run cfg) () in

@@ -931,33 +931,7 @@ let batch_job ~state ~stats ~cache ~breakers ~fuel ~timeout_ms ~retries ~chaos i
     | Some b -> b
     | None -> assert false (* populated for every distinct domain up front *)
   in
-  (* Breaker outside the cache: a cached verdict answers even while the
-     circuit is open, and the circuit-open error itself never enters the
-     cache (it describes the breaker's state, not the formula). *)
-  let cached = Decide_cache.domain cache domain in
-  let (module C : Domain.S) = cached in
-  let guarded =
-    Domain.with_decide cached (fun f ->
-        if not (Supervisor.Breaker.allow breaker) then
-          Error
-            (Printf.sprintf "unsupported: circuit open: %s decision procedure cooling down"
-               domain_name)
-        else
-          match C.decide f with
-          | Ok _ as r ->
-            Supervisor.Breaker.success breaker;
-            r
-          | Error e as r ->
-            (* A budget trip is the governor's verdict on this run, not
-               evidence the procedure is broken. *)
-            (match Budget.failure_of_string e with
-            | Some (Budget.Unsupported _) | None -> Supervisor.Breaker.failure breaker
-            | Some _ -> ());
-            r
-          | exception e ->
-            Supervisor.Breaker.failure breaker;
-            raise e)
-  in
+  let guarded = Decide_cache.guarded cache ~breaker ~name:domain_name domain in
   let plan =
     (* One plan per job, seeded from the job index: the per-site hit
        numbering stays reproducible whatever --jobs is, and counters
@@ -1236,60 +1210,69 @@ let batch_cmd =
           $ constant_arg $ jobs $ retries $ chaos_seed $ chaos_permille $ file $ formulas
           $ connect $ trace_prefix $ json_arg)
 
-(* ------------------------------- serve ------------------------------ *)
+(* ------------------------- serve and fleet -------------------------- *)
 
-let serve_cmd =
-  let run common domain rels consts socket port serve_jobs max_inflight client_share
-      snapshot journal state_file trace_sample slow_ms slow_log metrics_file =
-    with_common common @@ fun () ->
-    report
-      (Result.bind
-         (match state_file with
-         | Some path -> Codec.load_state path
-         | None -> parse_state rels consts)
-       @@ fun state ->
-       Result.bind
-         (match (socket, port) with
-         | Some path, None -> Ok (Server.Unix_path path)
-         | None, Some port -> Ok (Server.Tcp port)
-         | Some _, Some _ -> Error "serve: give either --socket or --port, not both"
-         | None, None -> Error "serve: an address is required (--socket PATH or --port PORT)")
-       @@ fun addr ->
-       Result.bind (load_stats state common.stats_file) @@ fun stats ->
-       let (module D : Domain.S) = domain in
-       let base = Server.default_config ~state addr in
-       let cfg =
-         { base with
-           Server.jobs = serve_jobs;
-           max_inflight;
-           client_share;
-           snapshot;
-           journal;
-           state_file;
-           trace_sample;
-           slow_ms;
-           slow_log;
-           metrics_file;
-           default_fuel = common.fuel;
-           max_fuel = max base.Server.max_fuel common.fuel;
-           default_timeout_ms = common.timeout_ms;
-           default_domain = D.name;
-           stats = (match stats with Some s -> s | None -> base.Server.stats) }
-       in
-       Server.run cfg)
+(* fq serve and fq fleet take one option block and build one
+   Server.config from it; under a fleet it is the template each worker
+   derives its own address, journal and metrics file from.  The term
+   yields the common options and a builder, run inside [with_common]
+   with the command name for error messages. *)
+let serve_opts =
+  let build common domain rels consts socket port jobs max_inflight client_share snapshot
+      journal state_file trace_sample slow_ms slow_log metrics_file =
+    ( common,
+      fun cmd ->
+        Result.bind
+          (match state_file with
+          | Some path -> Codec.load_state path
+          | None -> parse_state rels consts)
+        @@ fun state ->
+        Result.bind
+          (match (socket, port) with
+          | Some path, None -> Ok (Server.Unix_path path)
+          | None, Some port -> Ok (Server.Tcp port)
+          | Some _, Some _ -> Error (cmd ^ ": give either --socket or --port, not both")
+          | None, None ->
+            Error (cmd ^ ": an address is required (--socket PATH or --port PORT)"))
+        @@ fun addr ->
+        Result.bind (load_stats state common.stats_file) @@ fun stats ->
+        let (module D : Domain.S) = domain in
+        let base = Server.default_config ~state addr in
+        Ok
+          { base with
+            Server.jobs;
+            max_inflight;
+            client_share;
+            snapshot;
+            journal;
+            state_file;
+            trace_sample;
+            slow_ms;
+            slow_log;
+            metrics_file;
+            default_fuel = common.fuel;
+            max_fuel = max base.Server.max_fuel common.fuel;
+            default_timeout_ms = common.timeout_ms;
+            default_domain = D.name;
+            stats = (match stats with Some s -> s | None -> base.Server.stats) } )
   in
   let socket =
     Arg.(value & opt (some string) None
-         & info [ "socket" ] ~docv:"PATH" ~doc:"Listen on a Unix socket at PATH.")
+         & info [ "socket" ] ~docv:"PATH"
+             ~doc:"Listen on a Unix socket at PATH. Under $(b,fq fleet) this is the \
+                   control socket and worker $(i,i) serves on PATH.$(i,i).")
   in
   let port =
     Arg.(value & opt (some int) None
-         & info [ "port" ] ~docv:"PORT" ~doc:"Listen on TCP 127.0.0.1:PORT.")
+         & info [ "port" ] ~docv:"PORT"
+             ~doc:"Listen on TCP 127.0.0.1:PORT. Under $(b,fq fleet) this is the control \
+                   socket and worker $(i,i) serves on PORT+1+$(i,i).")
   in
-  let serve_jobs =
+  let jobs =
     Arg.(value & opt int 4
          & info [ "j"; "jobs" ]
-             ~doc:"Worker domains evaluating admitted requests (OCaml 5 domain pool).")
+             ~doc:"Worker domains evaluating admitted requests (OCaml 5 domain pool), per \
+                   server process.")
   in
   let max_inflight =
     Arg.(value & opt int 256
@@ -1309,7 +1292,9 @@ let serve_cmd =
          & info [ "snapshot" ] ~docv:"FILE"
              ~doc:"Decide-cache snapshot: loaded at boot if FILE exists (warm start), \
                    written on graceful shutdown, on SIGUSR1, and on a $(b,snapshot) \
-                   request.")
+                   request. Under $(b,fq fleet) the parent owns it: workers load it \
+                   read-only and journal their fresh verdicts, and the parent folds the \
+                   worker journals back in and republishes.")
   in
   let journal =
     Arg.(value & opt (some string) None
@@ -1318,7 +1303,8 @@ let serve_cmd =
                    record the moment it lands, and recovered (torn tails truncated, \
                    corrupt records skipped) at the next boot — so a crash loses at most \
                    one record, not the warm cache. Defaults to SNAPSHOT.journal when \
-                   $(b,--snapshot) is set.")
+                   $(b,--snapshot) is set. Under $(b,fq fleet) worker $(i,w) appends to \
+                   FILE.$(i,w).")
   in
   let state_file =
     Arg.(value & opt (some string) None
@@ -1327,7 +1313,7 @@ let serve_cmd =
                    spec per line) instead of $(b,-r)/$(b,-c), and re-read it on SIGHUP \
                    or a pathless $(b,fq ctl ADDR reload) — a zero-downtime state swap: \
                    in-flight requests finish on the old database, new admissions see \
-                   the new one.")
+                   the new one. A fleet rolls the swap one worker at a time.")
   in
   let trace_sample =
     Arg.(value & opt int 0
@@ -1355,7 +1341,16 @@ let serve_cmd =
     Arg.(value & opt (some string) None
          & info [ "metrics-file" ] ~docv:"FILE"
              ~doc:"Dump the Prometheus text exposition to FILE atomically (tmp + rename) \
-                   every couple of seconds and at shutdown, for file-based scrapers.")
+                   every couple of seconds and at shutdown, for file-based scrapers. \
+                   Under $(b,fq fleet) worker $(i,w) writes FILE.$(i,w).")
+  in
+  Term.(const build $ common_opts ~default_fuel:10_000 $ domain_arg $ relation_arg
+        $ constant_arg $ socket $ port $ jobs $ max_inflight $ client_share $ snapshot
+        $ journal $ state_file $ trace_sample $ slow_ms $ slow_log $ metrics_file)
+
+let serve_cmd =
+  let run (common, config) =
+    with_common common @@ fun () -> report (Result.bind (config "serve") Server.run)
   in
   let doc =
     "Serve queries persistently: a daemon on a Unix or TCP socket speaking \
@@ -1365,140 +1360,20 @@ let serve_cmd =
      reload (SIGHUP / $(b,fq ctl reload)), overload shedding, and live \
      metrics/health/explain."
   in
-  Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const run $ common_opts ~default_fuel:10_000 $ domain_arg $ relation_arg
-          $ constant_arg $ socket $ port $ serve_jobs $ max_inflight $ client_share
-          $ snapshot $ journal $ state_file $ trace_sample $ slow_ms $ slow_log
-          $ metrics_file)
-
-(* ------------------------------- fleet ------------------------------ *)
+  Cmd.v (Cmd.info "serve" ~doc) Term.(const run $ serve_opts)
 
 let fleet_cmd =
-  let run common domain rels consts socket port workers serve_jobs max_inflight
-      client_share snapshot journal state_file restart_limit flap_window_ms
-      base_backoff_ms max_backoff_ms probe_interval_ms probe_failures =
+  let run (common, config) workers =
     with_common common @@ fun () ->
     report
-      (Result.bind
-         (match state_file with
-         | Some path -> Codec.load_state path
-         | None -> parse_state rels consts)
-       @@ fun state ->
-       Result.bind
-         (match (socket, port) with
-         | Some path, None -> Ok (Server.Unix_path path)
-         | None, Some port -> Ok (Server.Tcp port)
-         | Some _, Some _ -> Error "fleet: give either --socket or --port, not both"
-         | None, None -> Error "fleet: an address is required (--socket PATH or --port PORT)")
-       @@ fun addr ->
-       Result.bind (load_stats state common.stats_file) @@ fun stats ->
-       let (module D : Domain.S) = domain in
-       let base = Fleet.default_config ~state addr in
-       let serve =
-         { base.Fleet.serve with
-           Server.jobs = serve_jobs;
-           max_inflight;
-           client_share;
-           snapshot;
-           journal;
-           state_file;
-           default_fuel = common.fuel;
-           max_fuel = max base.Fleet.serve.Server.max_fuel common.fuel;
-           default_timeout_ms = common.timeout_ms;
-           default_domain = D.name;
-           stats = (match stats with Some s -> s | None -> base.Fleet.serve.Server.stats) }
-       in
-       Fleet.run
-         { base with
-           Fleet.workers;
-           restart_limit;
-           flap_window_ms;
-           base_backoff_ms;
-           max_backoff_ms;
-           probe_interval_ms;
-           probe_failures;
-           serve })
-  in
-  let socket =
-    Arg.(value & opt (some string) None
-         & info [ "socket" ] ~docv:"PATH"
-             ~doc:"Control socket at PATH; worker $(i,i) serves on PATH.$(i,i).")
-  in
-  let port =
-    Arg.(value & opt (some int) None
-         & info [ "port" ] ~docv:"PORT"
-             ~doc:"Control socket on TCP 127.0.0.1:PORT; worker $(i,i) serves on \
-                   PORT+1+$(i,i).")
+      (Result.bind (config "fleet") @@ fun serve ->
+       Fleet.run { (Fleet.default_config serve) with Fleet.workers })
   in
   let workers =
     Arg.(value & opt int 2
          & info [ "workers" ] ~docv:"N"
              ~doc:"Worker processes to fork and supervise (each an independent crash \
                    domain running the full $(b,fq serve) engine).")
-  in
-  let serve_jobs =
-    Arg.(value & opt int 4
-         & info [ "j"; "jobs" ] ~doc:"Worker domains per worker process.")
-  in
-  let max_inflight =
-    Arg.(value & opt int 256
-         & info [ "max-inflight" ] ~doc:"Per-worker admission cap (as in fq serve).")
-  in
-  let client_share =
-    Arg.(value & opt int 64
-         & info [ "client-share" ] ~doc:"Per-connection in-flight cap (as in fq serve).")
-  in
-  let snapshot =
-    Arg.(value & opt (some string) None
-         & info [ "snapshot" ] ~docv:"FILE"
-             ~doc:"Shared decide-cache snapshot, owned by the parent: workers load it \
-                   warm (read-only) and journal their fresh verdicts; the parent folds \
-                   worker journals back in and republishes.")
-  in
-  let journal =
-    Arg.(value & opt (some string) None
-         & info [ "journal" ] ~docv:"FILE"
-             ~doc:"Per-worker journal base path: worker $(i,w) appends to FILE.$(i,w). \
-                   Defaults to SNAPSHOT.journal.$(i,w) when $(b,--snapshot) is set.")
-  in
-  let state_file =
-    Arg.(value & opt (some string) None
-         & info [ "state-file" ] ~docv:"FILE"
-             ~doc:"Load the served database from FILE and roll the fleet onto a new \
-                   version on SIGHUP or $(b,fq ctl ADDR reload) — one worker at a time, \
-                   never serving zero workers.")
-  in
-  let restart_limit =
-    Arg.(value & opt int 5
-         & info [ "restart-limit" ] ~docv:"K"
-             ~doc:"Flap breaker: K crashes inside $(b,--flap-window-ms) park the worker \
-                   (no further respawns; traffic redistributed) until the fleet is \
-                   restarted.")
-  in
-  let flap_window_ms =
-    Arg.(value & opt int 30_000
-         & info [ "flap-window-ms" ] ~docv:"MS" ~doc:"Flap-detection window.")
-  in
-  let base_backoff_ms =
-    Arg.(value & opt int 100
-         & info [ "backoff-ms" ] ~docv:"MS"
-             ~doc:"First respawn delay after a crash; doubles per crash up to \
-                   $(b,--max-backoff-ms), and resets after a healthy stretch.")
-  in
-  let max_backoff_ms =
-    Arg.(value & opt int 5_000
-         & info [ "max-backoff-ms" ] ~docv:"MS" ~doc:"Respawn-backoff ceiling.")
-  in
-  let probe_interval_ms =
-    Arg.(value & opt int 1_000
-         & info [ "probe-interval-ms" ] ~docv:"MS"
-             ~doc:"Wire health-probe period; a worker whose pid is alive but whose \
-                   listener is wedged fails probes and is restarted.")
-  in
-  let probe_failures =
-    Arg.(value & opt int 3
-         & info [ "probe-failures" ] ~docv:"N"
-             ~doc:"Consecutive probe misses before the worker is killed and restarted.")
   in
   let doc =
     "Serve queries from a supervised multi-process fleet: a parent forks N independent \
@@ -1509,12 +1384,7 @@ let fleet_cmd =
      into the shared snapshot before exit. Clients ($(b,fq batch --connect), $(b,fq \
      ctl)) discover workers via the $(b,fleet-status) op and fail over between them."
   in
-  Cmd.v (Cmd.info "fleet" ~doc)
-    Term.(const run $ common_opts ~default_fuel:10_000 $ domain_arg $ relation_arg
-          $ constant_arg $ socket $ port $ workers $ serve_jobs $ max_inflight
-          $ client_share $ snapshot $ journal $ state_file $ restart_limit
-          $ flap_window_ms $ base_backoff_ms $ max_backoff_ms $ probe_interval_ms
-          $ probe_failures)
+  Cmd.v (Cmd.info "fleet" ~doc) Term.(const run $ serve_opts $ workers)
 
 (* -------------------------------- ctl ------------------------------- *)
 
@@ -1523,32 +1393,19 @@ let ctl_cmd =
     with_common common @@ fun () ->
     report
       (Result.bind
-         (match op with
-         | "ping" -> Ok (Protocol.Ping { id = "ctl" })
-         | "metrics" -> Ok (Protocol.Metrics { id = "ctl" })
-         | "health" -> Ok (Protocol.Health { id = "ctl" })
-         | "snapshot" -> Ok (Protocol.Snapshot { id = "ctl" })
-         | "shutdown" -> Ok (Protocol.Shutdown { id = "ctl" })
-         | "reload" -> Ok (Protocol.Reload { id = "ctl"; path = arg })
-         | "fleet-status" -> Ok (Protocol.Fleet_status { id = "ctl" })
-         | "traces" -> (
-           match arg with
-           | None -> Ok (Protocol.Traces { id = "ctl"; limit = None })
-           | Some a -> (
-             match int_of_string_opt a with
-             | Some n -> Ok (Protocol.Traces { id = "ctl"; limit = Some n })
-             | None -> Error (Printf.sprintf "ctl: traces limit must be an integer, got %S" a)))
-         | "explain" -> (
-           match arg with
-           | Some f ->
-             Ok (Protocol.Explain { id = "ctl"; domain = None; formula = f; trace = None })
-           | None -> Error "ctl: explain needs a FORMULA argument")
-         | op ->
-           Error
-             (Printf.sprintf
-                "ctl: unknown op %S (ping, metrics, health, snapshot, shutdown, reload, \
-                 fleet-status, traces, explain)"
-                op))
+         (* the op table is the protocol's own; ctl only places ARG *)
+         (match (op, arg) with
+         | "reload", Some path -> Ok [ ("path", Json.Str path) ]
+         | "explain", Some formula -> Ok [ ("formula", Json.Str formula) ]
+         | "traces", Some a -> (
+           match int_of_string_opt a with
+           | Some n -> Ok [ ("limit", Json.Int n) ]
+           | None -> Error (Printf.sprintf "ctl: traces limit must be an integer, got %S" a))
+         | _ -> Ok [])
+       @@ fun fields ->
+       Result.bind
+         (Protocol.request_of_json
+            (Json.Obj (("op", Json.Str op) :: ("id", Json.Str "ctl") :: fields)))
        @@ fun req ->
        (* --timeout-ms bounds the whole interaction: the boot-retry loop
           stops at the deadline, and reads/writes against a wedged server

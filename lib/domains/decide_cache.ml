@@ -371,3 +371,29 @@ let domain c ((module D : Domain.S) as d) : Domain.t =
     let seeds = D.seeds
     let decide f = decide c d f
   end)
+
+(* The breaker sits outside the cache: its circuit-open error describes
+   the breaker's state, not the formula, so it never enters the cache.  A
+   budget trip is the governor's verdict on one run, not evidence that
+   the procedure is broken, so it is not counted against the breaker. *)
+let guarded c ~breaker ~name d =
+  let module Breaker = Fq_core.Supervisor.Breaker in
+  let cached = domain c d in
+  let (module C : Domain.S) = cached in
+  Domain.with_decide cached (fun f ->
+      if not (Breaker.allow breaker) then
+        Error
+          (Printf.sprintf "unsupported: circuit open: %s decision procedure cooling down" name)
+      else
+        match C.decide f with
+        | Ok _ as r ->
+          Breaker.success breaker;
+          r
+        | Error e as r ->
+          (match Fq_core.Budget.failure_of_string e with
+          | Some (Fq_core.Budget.Unsupported _) | None -> Breaker.failure breaker
+          | Some _ -> ());
+          r
+        | exception e ->
+          Breaker.failure breaker;
+          raise e)

@@ -100,3 +100,12 @@ val domain : t -> Domain.t -> Domain.t
 (** [domain cache d] is [d] with its [decide] routed through the cache —
     a drop-in replacement wherever a {!Domain.t} is consumed
     (e.g. {!Fq_eval.Enumerate.run}). *)
+
+val guarded :
+  t -> breaker:Fq_core.Supervisor.Breaker.t -> name:string -> Domain.t -> Domain.t
+(** [guarded cache ~breaker ~name d] is [domain cache d] behind a
+    circuit breaker, as [fq batch] and [fq serve] evaluate: while the
+    breaker is open, decide answers
+    ["unsupported: circuit open: NAME decision procedure cooling down"];
+    a crash, an [unsupported:] error or any unclassified error counts as
+    a breaker failure, a budget trip does not. *)

@@ -46,18 +46,23 @@ type ot = { base : string option; off : B.t }
 
 exception Unsupported of string
 
+(* Offsets are signed: [term_of_ot] prints a negative one as [v + -k],
+   and the elimination re-reads its own output. *)
+let is_int_numeral c =
+  is_nat_numeral c
+  || (c <> "" && c.[0] = '-' && is_nat_numeral (String.sub c 1 (String.length c - 1)))
+
 let rec ot_of_term = function
   | Term.Var v -> { base = Some v; off = B.zero }
-  | Term.Const c when is_nat_numeral c || (c <> "" && c.[0] = '-' && is_nat_numeral (String.sub c 1 (String.length c - 1))) ->
-    { base = None; off = B.of_string c }
+  | Term.Const c when is_int_numeral c -> { base = None; off = B.of_string c }
   | Term.Const c -> raise (Unsupported (Printf.sprintf "constant %S" c))
   | Term.App ("s", [ t ]) ->
     let o = ot_of_term t in
     { o with off = B.succ o.off }
-  | Term.App ("+", [ t; Term.Const c ]) when is_nat_numeral c ->
+  | Term.App ("+", [ t; Term.Const c ]) when is_int_numeral c ->
     let o = ot_of_term t in
     { o with off = B.add o.off (B.of_string c) }
-  | Term.App ("+", [ Term.Const c; t ]) when is_nat_numeral c ->
+  | Term.App ("+", [ Term.Const c; t ]) when is_int_numeral c ->
     let o = ot_of_term t in
     { o with off = B.add o.off (B.of_string c) }
   | Term.App (f, args) -> raise (Unsupported (Printf.sprintf "term %s/%d" f (List.length args)))

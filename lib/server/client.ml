@@ -4,14 +4,6 @@ module Budget = Fq_core.Budget
 
 type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel; lock : Mutex.t }
 
-let sockaddr = function
-  | Server.Unix_path path -> Unix.ADDR_UNIX path
-  | Server.Tcp port -> Unix.ADDR_INET (Unix.inet_addr_loopback, port)
-
-let socket_family = function
-  | Server.Unix_path _ -> Unix.PF_UNIX
-  | Server.Tcp _ -> Unix.PF_INET
-
 (* With a timeout, SO_RCVTIMEO/SO_SNDTIMEO bound every read and write on
    the socket, and the connect-retry loop is additionally bounded by a
    wall-clock deadline — a client against a wedged server gets a
@@ -26,7 +18,7 @@ let connect ?(retries = 0) ?(delay_ms = 50) ?timeout_ms addr =
     match deadline with Some d -> Unix.gettimeofday () > d | None -> false
   in
   let rec go attempts_left =
-    let fd = Unix.socket (socket_family addr) Unix.SOCK_STREAM 0 in
+    let fd = Unix.socket (Unix.domain_of_sockaddr (Server.sockaddr addr)) Unix.SOCK_STREAM 0 in
     (match timeout_ms with
     | Some t ->
       let s = float_of_int (max 1 t) /. 1000. in
@@ -35,7 +27,7 @@ let connect ?(retries = 0) ?(delay_ms = 50) ?timeout_ms addr =
          Unix.setsockopt_float fd Unix.SO_SNDTIMEO s
        with Unix.Unix_error _ -> ())
     | None -> ());
-    match Unix.connect fd (sockaddr addr) with
+    match Unix.connect fd (Server.sockaddr addr) with
     | () ->
       Ok
         { fd;

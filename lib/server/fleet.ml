@@ -20,9 +20,11 @@
    rolls nobody); SIGTERM / a shutdown request drain every worker
    gracefully, fold every journal, and write the snapshot before exit.
 
-   The parent is deliberately single-threaded (select + synchronous
-   control connections): fork from a process with live threads inherits
-   their held locks, so the control loop never spawns one. *)
+   The parent is deliberately single-threaded: fork from a process with
+   live threads inherits their held locks, so the control loop never
+   spawns one.  Control connections stay open in its select set and are
+   answered by Server's control-op table, one line per connection per
+   tick, so no client can hold up supervision. *)
 
 module Json = Fq_core.Json
 module Aggregate = Fq_core.Aggregate
@@ -31,30 +33,30 @@ module Optimizer = Fq_db.Optimizer
 
 type config = {
   workers : int;
-  restart_limit : int;
-  flap_window_ms : int;
   base_backoff_ms : int;
-  backoff_factor : float;
   max_backoff_ms : int;
   probe_interval_ms : int;
   probe_timeout_ms : int;
   probe_failures : int;
-  drain_grace_ms : int;
   serve : Server.config;
 }
 
-let default_config ~state addr =
+let default_config serve =
   { workers = 2;
-    restart_limit = 5;
-    flap_window_ms = 30_000;
     base_backoff_ms = 100;
-    backoff_factor = 2.0;
     max_backoff_ms = 5_000;
     probe_interval_ms = 1_000;
     probe_timeout_ms = 1_000;
     probe_failures = 3;
-    drain_grace_ms = 10_000;
-    serve = Server.default_config ~state addr }
+    serve }
+
+(* The flap breaker parks a worker after [restart_limit] crashes inside
+   [flap_window_ms]; respawn backoff grows by [backoff_factor]; a drain
+   waits [drain_grace_ms] before escalating to signals. *)
+let restart_limit = 5
+let flap_window_ms = 30_000.
+let backoff_factor = 2.0
+let drain_grace_ms = 10_000.
 
 let worker_addr base i =
   match base with
@@ -69,7 +71,6 @@ let worker_addr base i =
 type wstatus = W_up | W_backoff | W_parked
 
 type wrk = {
-  w_idx : int;
   w_name : string;
   w_addr : Server.addr;
   w_journal : string option;
@@ -82,6 +83,8 @@ type wrk = {
   mutable w_probe_fails : int;  (* consecutive failed health probes *)
 }
 
+type conn = { c_fd : Unix.file_descr; c_reader : Server.reader }
+
 type t = {
   cfg : config;
   cache : Decide_cache.t;  (* the parent's fold target; source of the snapshot *)
@@ -90,17 +93,28 @@ type t = {
   mutable state_path : string option;
   mutable stopping : bool;
   mutable listen_fd : Unix.file_descr option;  (* children must close it *)
+  mutable conns : conn list;  (* and these *)
   mutable reloads : int;
   mutable compactions : int;
   mutable folded : int;  (* journal records folded into the parent cache *)
   mutable last_save : float;
   mutable last_probe : float;
-  term : bool Atomic.t;
-  hup : bool Atomic.t;
   log : string -> unit;
 }
 
 let now_ms () = Unix.gettimeofday () *. 1000.
+
+let logf t fmt = Printf.ksprintf t.log ("fq fleet: " ^^ fmt)
+
+let is_up w = w.w_status = W_up && w.w_pid <> None
+
+let signal_worker w signal =
+  Option.iter (fun pid -> try Unix.kill pid signal with Unix.Unix_error _ -> ()) w.w_pid
+
+(* One request to a worker over a fresh connection. *)
+let ask t w ~retries req =
+  Result.bind (Client.connect ~retries ~timeout_ms:(max 1 t.cfg.probe_timeout_ms) w.w_addr)
+  @@ fun c -> Fun.protect ~finally:(fun () -> Client.close c) (fun () -> Client.request c req)
 
 (* ------------------------- snapshot + journals ---------------------- *)
 
@@ -109,23 +123,21 @@ let now_ms () = Unix.gettimeofday () *. 1000.
    (the worker owns the append position and may be mid-record), so it
    reads the file as-is — replay is idempotent, the next fold or the
    crash-time destructive fold picks up whatever this one missed. *)
-let fold_journal t jpath ~destructive =
-  let applied = ref 0 in
-  let replay payload =
-    match Decide_cache.entry_of_line payload with
-    | Ok (key, value) ->
-      Decide_cache.restore t.cache key value;
-      incr applied
-    | Error _ -> ()
-  in
-  (match Journal.recover ~truncate:destructive jpath ~f:replay with
-  | Ok _ -> if destructive then ( try Sys.remove jpath with Sys_error _ -> ())
-  | Error e -> t.log (Printf.sprintf "fq fleet: journal fold failed (%s): %s" jpath e));
-  t.folded <- t.folded + !applied;
-  !applied
+let fold_journal t w ~destructive =
+  match w.w_journal with
+  | None -> 0
+  | Some jpath -> (
+    match Server.replay_journal ~truncate:destructive t.cache jpath with
+    | Ok { Journal.applied; _ } ->
+      if destructive then ( try Sys.remove jpath with Sys_error _ -> ());
+      t.folded <- t.folded + applied;
+      applied
+    | Error e ->
+      logf t "journal fold failed (%s): %s" jpath e;
+      0)
 
-let fold_worker_journal t w ~destructive =
-  match w.w_journal with None -> 0 | Some j -> fold_journal t j ~destructive
+let fold_journals t ~destructive =
+  Array.fold_left (fun acc w -> acc + fold_journal t w ~destructive) 0 t.ws
 
 let save_snapshot t ~why =
   match t.cfg.serve.snapshot with
@@ -134,15 +146,13 @@ let save_snapshot t ~why =
     match Decide_cache.save t.cache path with
     | Ok n ->
       t.last_save <- Unix.gettimeofday ();
-      t.log (Printf.sprintf "fq fleet: snapshot written (%d entries, %s) to %s" n why path)
-    | Error e -> t.log (Printf.sprintf "fq fleet: snapshot failed: %s" e))
+      logf t "snapshot written (%d entries, %s) to %s" n why path
+    | Error e -> logf t "snapshot failed: %s" e)
 
 (* The parent-side compaction pass: fold every live worker's journal
    (read-only) and republish the snapshot they warm-boot from. *)
 let compact t ~why =
-  let folded =
-    Array.fold_left (fun acc w -> acc + fold_worker_journal t w ~destructive:false) 0 t.ws
-  in
+  let folded = fold_journals t ~destructive:false in
   save_snapshot t ~why;
   t.compactions <- t.compactions + 1;
   folded
@@ -155,6 +165,7 @@ let worker_config t w =
     worker_id = Some w.w_name;
     snapshot_read_only = true;
     journal = w.w_journal;
+    metrics_file = Option.map (fun p -> p ^ "." ^ w.w_name) t.cfg.serve.Server.metrics_file;
     state = t.state;
     stats = Optimizer.Stats.of_state t.state;
     state_file = t.state_path }
@@ -173,16 +184,16 @@ let spawn_worker t w =
     | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "fleet: fork: %s" (Unix.error_message e))
     | 0 ->
-      (* the worker: drop the parent's listener, serve, and _exit so the
+      (* the worker: drop the parent's sockets, serve, and _exit so the
          child never runs the parent's at_exit machinery *)
-      (match t.listen_fd with
-      | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-      | None -> ());
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (Option.to_list t.listen_fd @ List.map (fun c -> c.c_fd) t.conns);
       let code =
         match Server.run cfg with
         | Ok code -> code
         | Error e ->
-          t.log (Printf.sprintf "fq fleet: %s: boot failed: %s" w.w_name e);
+          logf t "%s: boot failed: %s" w.w_name e;
           1
       in
       Unix._exit code
@@ -195,32 +206,26 @@ let spawn_worker t w =
 let schedule_respawn t w now =
   w.w_status <- W_backoff;
   w.w_next_spawn <- now +. w.w_backoff_ms;
-  t.log
-    (Printf.sprintf "fq fleet: %s: restarting in %.0fms (restart %d)" w.w_name
-       w.w_backoff_ms w.w_restarts);
+  logf t "%s: restarting in %.0fms (restart %d)" w.w_name w.w_backoff_ms w.w_restarts;
   w.w_backoff_ms <-
-    Float.min (w.w_backoff_ms *. t.cfg.backoff_factor) (float_of_int t.cfg.max_backoff_ms)
+    Float.min (w.w_backoff_ms *. backoff_factor) (float_of_int t.cfg.max_backoff_ms)
 
 (* A dead worker: fold what its journal salvaged into the snapshot (so
    the respawn warm-boots with the crashed process's verdicts), then
    either park it (flap breaker) or schedule the backoff respawn. *)
 let handle_death t w now ~how =
   w.w_pid <- None;
-  t.log (Printf.sprintf "fq fleet: %s: %s" w.w_name how);
-  let folded = fold_worker_journal t w ~destructive:true in
+  logf t "%s: %s" w.w_name how;
+  let folded = fold_journal t w ~destructive:true in
   if folded > 0 then save_snapshot t ~why:(w.w_name ^ " journal fold");
   if t.stopping then ()
   else begin
     w.w_restarts <- w.w_restarts + 1;
-    let window = float_of_int t.cfg.flap_window_ms in
-    w.w_crashes <- now :: List.filter (fun ts -> now -. ts <= window) w.w_crashes;
-    if List.length w.w_crashes >= t.cfg.restart_limit then begin
+    w.w_crashes <- now :: List.filter (fun ts -> now -. ts <= flap_window_ms) w.w_crashes;
+    if List.length w.w_crashes >= restart_limit then begin
       w.w_status <- W_parked;
-      t.log
-        (Printf.sprintf
-           "fq fleet: %s: parked — %d crashes in %.0fs, traffic redistributed" w.w_name
-           (List.length w.w_crashes)
-           (window /. 1000.))
+      logf t "%s: parked — %d crashes in %.0fs, traffic redistributed" w.w_name
+        (List.length w.w_crashes) (flap_window_ms /. 1000.)
     end
     else schedule_respawn t w now
   end
@@ -254,15 +259,18 @@ let reap t now =
           handle_death t w now ~how:"already reaped"))
     t.ws
 
+(* Boot is the first round: every worker starts in W_backoff, due now. *)
 let respawn_due t now =
   Array.iter
     (fun w ->
       if w.w_status = W_backoff && w.w_pid = None && now >= w.w_next_spawn then
         match spawn_worker t w with
-        | Ok pid -> t.log (Printf.sprintf "fq fleet: %s: respawned (pid %d)" w.w_name pid)
+        | Ok pid ->
+          if w.w_restarts > 0 then
+            logf t "%s: respawned (pid %d)" w.w_name pid
         | Error e ->
           (* a failed fork rides the same backoff schedule as a crash *)
-          t.log (Printf.sprintf "fq fleet: %s: %s" w.w_name e);
+          logf t "%s: %s" w.w_name e;
           schedule_respawn t w now)
     t.ws
 
@@ -277,21 +285,12 @@ let probe_worker t w =
   match Fq_core.Fault.hit "fleet.probe" with
   | exception _ -> Error "injected probe fault"
   | () -> (
-    match
-      Client.connect ~retries:0 ~timeout_ms:(max 1 t.cfg.probe_timeout_ms) w.w_addr
-    with
-    | Error e -> Error e
-    | Ok c ->
-      let r = Client.request c (Protocol.Health { id = "fleet-probe" }) in
-      Client.close c;
-      (match r with
-      | Ok (_, Protocol.R_ok j) ->
-        Ok
-          (match Option.bind (Json.member "journal_records" j) Json.to_int_opt with
-          | Some n -> n
-          | None -> 0)
-      | Ok _ -> Error "probe: unexpected reply"
-      | Error e -> Error e))
+    match ask t w ~retries:0 (Protocol.Health { id = "fleet-probe" }) with
+    | Ok (_, Protocol.R_ok j) ->
+      let lag = Option.bind (Json.member "journal_records" j) Json.to_int_opt in
+      Ok (Option.value lag ~default:0)
+    | Ok _ -> Error "probe: unexpected reply"
+    | Error e -> Error e)
 
 let probes t now =
   if now -. t.last_probe >= float_of_int t.cfg.probe_interval_ms then begin
@@ -299,7 +298,7 @@ let probes t now =
     let lag = ref 0 in
     Array.iter
       (fun w ->
-        if w.w_status = W_up && w.w_pid <> None then
+        if is_up w then
           match probe_worker t w with
           | Ok journal_records ->
             w.w_probe_fails <- 0;
@@ -307,20 +306,16 @@ let probes t now =
             (* a stretch of health resets the crash history: only
                crashes in quick succession should trip the flap breaker *)
             (match w.w_crashes with
-            | ts :: _ when now -. ts > float_of_int t.cfg.flap_window_ms ->
+            | ts :: _ when now -. ts > flap_window_ms ->
               w.w_crashes <- [];
               w.w_backoff_ms <- float_of_int t.cfg.base_backoff_ms
             | _ -> ())
           | Error e ->
             w.w_probe_fails <- w.w_probe_fails + 1;
             if w.w_probe_fails >= t.cfg.probe_failures then begin
-              t.log
-                (Printf.sprintf "fq fleet: %s: %d probes failed (%s), killing" w.w_name
-                   w.w_probe_fails e);
+              logf t "%s: %d probes failed (%s), killing" w.w_name w.w_probe_fails e;
               w.w_probe_fails <- 0;
-              match w.w_pid with
-              | Some pid -> ( try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-              | None -> ()
+              signal_worker w Sys.sigkill
             end)
       t.ws;
     if
@@ -328,8 +323,7 @@ let probes t now =
       && !lag >= t.cfg.serve.Server.journal_compact_every
     then begin
       let folded = compact t ~why:"compaction" in
-      t.log
-        (Printf.sprintf "fq fleet: compacted %d journal records into the snapshot" folded)
+      logf t "compacted %d journal records into the snapshot" folded
     end
   end
 
@@ -341,40 +335,23 @@ let probes t now =
    full strength throughout, and sequencing means a poison state that
    kills workers on arrival is caught after the first one. *)
 let rolling_reload t ~path =
-  let source =
-    match path with
-    | Some p -> Ok p
-    | None -> (
-      match t.state_path with
-      | Some p -> Ok p
-      | None -> Error "no state file configured (start with --state-file or name one)")
-  in
-  Result.bind source @@ fun p ->
-  match Fq_db.Codec.load_state p with
-  | Error e -> Error e
-  | Ok state ->
-    t.state <- state;
-    t.state_path <- Some p;
-    t.reloads <- t.reloads + 1;
-    let rolled = ref 0 in
-    Array.iter
-      (fun w ->
-        if w.w_status = W_up && w.w_pid <> None then
-          match Client.connect ~retries:5 ~timeout_ms:(max 1 t.cfg.probe_timeout_ms) w.w_addr with
-          | Error e -> t.log (Printf.sprintf "fq fleet: %s: reload skipped: %s" w.w_name e)
-          | Ok c ->
-            (match Client.request c (Protocol.Reload { id = "fleet-reload"; path = Some p }) with
-            | Ok (_, Protocol.R_ok j) ->
-              incr rolled;
-              t.log
-                (Printf.sprintf "fq fleet: %s: reloaded (epoch %d)" w.w_name
-                   (Option.value ~default:0
-                      (Option.bind (Json.member "epoch" j) Json.to_int_opt)))
-            | Ok _ | Error _ ->
-              t.log (Printf.sprintf "fq fleet: %s: reload not acknowledged" w.w_name));
-            Client.close c)
-      t.ws;
-    Ok !rolled
+  Result.bind (Server.load_state_file path ~configured:t.state_path) @@ fun (p, state) ->
+  t.state <- state;
+  t.state_path <- Some p;
+  t.reloads <- t.reloads + 1;
+  let rolled = ref 0 in
+  Array.iter
+    (fun w ->
+      if is_up w then
+        match ask t w ~retries:5 (Protocol.Reload { id = "fleet-reload"; path = Some p }) with
+        | Ok (_, Protocol.R_ok j) ->
+          incr rolled;
+          logf t "%s: reloaded (epoch %d)" w.w_name
+            (Option.value ~default:0 (Option.bind (Json.member "epoch" j) Json.to_int_opt))
+        | Ok _ -> logf t "%s: reload not acknowledged" w.w_name
+        | Error e -> logf t "%s: reload skipped: %s" w.w_name e)
+    t.ws;
+  Ok !rolled
 
 (* ------------------------------ control ----------------------------- *)
 
@@ -384,7 +361,7 @@ let worker_infos t =
        (fun w ->
          { Protocol.worker = w.w_name;
            worker_addr = Server.addr_to_string w.w_addr;
-           up = (w.w_status = W_up && w.w_pid <> None);
+           up = is_up w;
            pid = w.w_pid;
            restarts = w.w_restarts })
        t.ws)
@@ -394,7 +371,7 @@ let exposition t =
   Aggregate.exposition
     [ Aggregate.gauge_family ~name:"fq_fleet_worker_up"
         ~help:"Per-worker liveness (1 up, 0 crashed/backing off/parked)."
-        (per_worker (fun w -> if w.w_status = W_up && w.w_pid <> None then 1. else 0.));
+        (per_worker (fun w -> if is_up w then 1. else 0.));
       Aggregate.counter_family ~name:"fq_fleet_restarts_total"
         ~help:"Per-worker crash restarts since fleet boot."
         (per_worker (fun w -> w.w_restarts));
@@ -412,177 +389,139 @@ let exposition t =
 
 let up_count t =
   Array.fold_left
-    (fun acc w -> if w.w_status = W_up && w.w_pid <> None then acc + 1 else acc)
+    (fun acc w -> if is_up w then acc + 1 else acc)
     0 t.ws
 
-(* One synchronous control connection: the parent answers its own ops
-   (topology, health, metrics, reload, shutdown, snapshot) and refuses
-   evaluation — workers serve queries, the parent serves the fleet.  A
-   read timeout bounds how long a silent peer can hold the loop. *)
-let handle_conn t fd =
-  (try
-     Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.0;
-     Unix.setsockopt_float fd Unix.SO_SNDTIMEO 1.0
-   with Unix.Unix_error _ -> ());
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let send json =
-    try
-      output_string oc (Json.to_string json);
-      output_char oc '\n';
-      flush oc
-    with Sys_error _ | Unix.Unix_error _ -> ()
-  in
-  let rec loop () =
-    match input_line ic with
-    | exception (End_of_file | Sys_error _ | Unix.Unix_error _) -> ()
-    | line when String.trim line = "" -> loop ()
-    | line ->
-      (match Protocol.parse_request (String.trim line) with
-      | Error e -> send (Protocol.malformed_response ~id:"" e)
-      | Ok (Protocol.Ping { id }) -> send (Protocol.ok_response ~id [])
-      | Ok (Protocol.Fleet_status { id }) ->
-        send (Protocol.fleet_status_response ~id ~fleet:true (worker_infos t))
-      | Ok (Protocol.Health { id }) ->
-        send
-          (Protocol.ok_response ~id
-             [ ("fleet", Json.Bool true);
-               ("workers", Json.Int t.cfg.workers);
-               ("up", Json.Int (up_count t));
-               ("reloads", Json.Int t.reloads);
-               ("draining", Json.Bool t.stopping) ])
-      | Ok (Protocol.Metrics { id }) ->
-        send
-          (Protocol.ok_response ~id
-             [ ("version", Json.Int Aggregate.exposition_version);
-               ("exposition", Json.Str (exposition t)) ])
-      | Ok (Protocol.Reload { id; path }) -> (
-        match rolling_reload t ~path with
-        | Ok rolled ->
-          send (Protocol.ok_response ~id [ ("workers_reloaded", Json.Int rolled) ])
-        | Error e -> send (Protocol.malformed_response ~id ("reload: " ^ e)))
-      | Ok (Protocol.Snapshot { id }) ->
+(* The parent's handlers for Server's control-op table: it answers for
+   the fleet (topology, health, metrics, reload, snapshot, shutdown) and
+   refuses evaluation — workers serve queries, the parent serves the
+   fleet.  Tracing happens where evaluation does, so its ring is empty. *)
+let control t =
+  { Server.health =
+      (fun () ->
+        [ ("fleet", Json.Bool true);
+          ("workers", Json.Int t.cfg.workers);
+          ("up", Json.Int (up_count t));
+          ("reloads", Json.Int t.reloads);
+          ("draining", Json.Bool t.stopping) ]);
+    metrics =
+      (fun () ->
+        [ ("version", Json.Int Aggregate.exposition_version);
+          ("exposition", Json.Str (exposition t)) ]);
+    traces = (fun _ -> [ ("sample_every", Json.Int 0); ("traces", Json.List []) ]);
+    topology = (fun () -> (true, worker_infos t));
+    reload =
+      (fun path ->
+        Result.map
+          (fun rolled -> [ ("workers_reloaded", Json.Int rolled) ])
+          (rolling_reload t ~path));
+    save =
+      (fun () ->
         let _folded : int = compact t ~why:"snapshot request" in
-        send
-          (Protocol.ok_response ~id
-             [ ("entries", Json.Int (Decide_cache.stats t.cache).Decide_cache.entries) ])
-      | Ok (Protocol.Shutdown { id }) ->
-        send (Protocol.ok_response ~id [ ("draining", Json.Bool true) ]);
-        t.stopping <- true
-      | Ok (Protocol.Eval _ | Protocol.Explain _ | Protocol.Traces _) ->
-        send
-          (Protocol.malformed_response ~id:""
+        Ok (Decide_cache.stats t.cache).Decide_cache.entries);
+    shutdown = (fun () -> t.stopping <- true);
+    evaluate =
+      (fun req ->
+        Some
+          (Protocol.malformed_response ~id:(Protocol.request_id req)
              "fleet: evaluation is served by workers — connect via fq batch --connect, \
               which discovers them from fleet-status"));
-      loop ()
-  in
-  loop ();
-  (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  try close_in ic with Sys_error _ -> ()
+    count = ignore }
+
+let max_conns = 64
+
+let close_conn c =
+  (try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  try Unix.close c.c_fd with Unix.Unix_error _ -> ()
+
+(* A reply the peer does not take within a second is dropped. *)
+let send_line fd json =
+  let line = Json.to_string json ^ "\n" in
+  try ignore (Unix.write_substring fd line 0 (String.length line)) with Unix.Unix_error _ -> ()
+
+(* One control-plane step, bounded so supervision never waits on a
+   client: wait up to a tick for activity, accept, and answer at most one
+   line on each open connection — reading only the descriptors select
+   reported ready, so a silent or half-sent line never blocks. *)
+let control_tick t ctl listen_fd =
+  let listening = List.length t.conns < max_conns in
+  let fds = List.map (fun c -> c.c_fd) t.conns in
+  let timeout = if List.exists (fun c -> Server.buffered c.c_reader) t.conns then 0. else 0.2 in
+  match Unix.select (if listening then listen_fd :: fds else fds) [] [] timeout with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  | ready, _, _ ->
+    (if List.mem listen_fd ready then
+       match Unix.accept listen_fd with
+       | fd, _ ->
+         (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 1.0 with Unix.Unix_error _ -> ());
+         let c_reader = Server.reader ~max_bytes:t.cfg.serve.Server.max_line_bytes fd in
+         t.conns <- t.conns @ [ { c_fd = fd; c_reader } ]
+       | exception Unix.Unix_error _ -> ());
+    t.conns <-
+      List.filter
+        (fun c ->
+          let refills = if List.mem c.c_fd ready then 1 else 0 in
+          match Server.answer ctl c.c_reader ~refills ~send:(send_line c.c_fd) with
+          | `Eof ->
+            close_conn c;
+            false
+          | `Answered | `Pending -> true)
+        t.conns
 
 (* ----------------------------- shutdown ----------------------------- *)
 
 (* Graceful drain: ask every live worker to shut down (the worker path
-   answers its admitted requests before exiting), wait out the grace
-   period, escalate SIGTERM then SIGKILL, fold every journal —
+   answers its admitted requests before exiting; one that cannot be
+   asked gets SIGTERM), wait out the grace period, SIGKILL stragglers,
+   fold every journal —
    destructively now, every owner is dead — and publish the snapshot. *)
 let graceful_shutdown t =
   Array.iter
     (fun w ->
       if w.w_pid <> None then
-        match Client.connect ~retries:0 ~timeout_ms:(max 1 t.cfg.probe_timeout_ms) w.w_addr with
-        | Error _ -> (
-          match w.w_pid with
-          | Some pid -> ( try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-          | None -> ())
-        | Ok c ->
-          (match Client.request c (Protocol.Shutdown { id = "fleet-shutdown" }) with
-          | Ok _ -> ()
-          | Error _ -> (
-            match w.w_pid with
-            | Some pid -> ( try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-            | None -> ()));
-          Client.close c)
+        match ask t w ~retries:0 (Protocol.Shutdown { id = "fleet-shutdown" }) with
+        | Ok _ -> ()
+        | Error _ -> signal_worker w Sys.sigterm)
     t.ws;
-  let deadline = now_ms () +. float_of_int t.cfg.drain_grace_ms in
-  let rec wait escalated =
+  let deadline = now_ms () +. drain_grace_ms in
+  let rec wait () =
     reap t (now_ms ());
-    if Array.for_all (fun w -> w.w_pid = None) t.ws then ()
-    else if now_ms () > deadline then begin
-      Array.iter
-        (fun w ->
-          match w.w_pid with
-          | Some pid -> ( try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-          | None -> ())
-        t.ws;
-      if not escalated then wait true
+    if Array.exists (fun w -> w.w_pid <> None) t.ws then
+      if now_ms () <= deadline then begin
+        Unix.sleepf 0.05;
+        wait ()
+      end
       else
         Array.iter
           (fun w ->
-            match w.w_pid with
-            | Some pid ->
-              (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-              w.w_pid <- None
-            | None -> ())
+            Option.iter
+              (fun pid ->
+                signal_worker w Sys.sigkill;
+                (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+                w.w_pid <- None)
+              w.w_pid)
           t.ws
-    end
-    else begin
-      Unix.sleepf 0.05;
-      wait escalated
-    end
   in
-  wait false;
+  wait ();
   (* reap already folded each journal as its worker died; this pass only
      catches a journal whose worker we never managed to reap *)
-  let _late : int =
-    Array.fold_left (fun acc w -> acc + fold_worker_journal t w ~destructive:true) 0 t.ws
-  in
+  let _late : int = fold_journals t ~destructive:true in
   save_snapshot t ~why:"shutdown";
   let restarts = Array.fold_left (fun acc w -> acc + w.w_restarts) 0 t.ws in
-  t.log
-    (Printf.sprintf
-       "fq fleet: shutdown complete — %d workers, %d restarts, %d reloads, %d journal \
-        records folded"
-       t.cfg.workers restarts t.reloads t.folded)
+  logf t "shutdown complete — %d workers, %d restarts, %d reloads, %d journal records folded"
+    t.cfg.workers restarts t.reloads t.folded
 
 (* -------------------------------- boot ------------------------------ *)
-
-let bind_control = function
-  | Server.Unix_path path ->
-    if Sys.file_exists path then (try Unix.unlink path with Unix.Unix_error _ -> ());
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try
-       Unix.bind fd (Unix.ADDR_UNIX path);
-       Unix.listen fd 64;
-       Ok fd
-     with Unix.Unix_error (e, _, _) ->
-       Unix.close fd;
-       Error (Printf.sprintf "cannot bind %s: %s" path (Unix.error_message e)))
-  | Server.Tcp port ->
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try
-       Unix.setsockopt fd Unix.SO_REUSEADDR true;
-       Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-       Unix.listen fd 64;
-       Ok fd
-     with Unix.Unix_error (e, _, _) ->
-       Unix.close fd;
-       Error (Printf.sprintf "cannot bind port %d: %s" port (Unix.error_message e)))
 
 let run cfg =
   if cfg.workers < 1 then Error "fleet: need at least one worker"
   else begin
     let serve = cfg.serve in
-    let journal_base =
-      match serve.Server.journal with
-      | Some j -> Some j
-      | None -> Option.map (fun s -> s ^ ".journal") serve.Server.snapshot
-    in
+    let journal_base = Server.journal_path serve in
     let ws =
       Array.init cfg.workers (fun i ->
           let name = "w" ^ string_of_int i in
-          { w_idx = i;
-            w_name = name;
+          { w_name = name;
             w_addr = worker_addr serve.Server.addr i;
             w_journal = Option.map (fun j -> j ^ "." ^ name) journal_base;
             w_pid = None;
@@ -601,93 +540,58 @@ let run cfg =
         state_path = serve.Server.state_file;
         stopping = false;
         listen_fd = None;
+        conns = [];
         reloads = 0;
         compactions = 0;
         folded = 0;
         last_save = 0.;
         last_probe = 0.;
-        term = Atomic.make false;
-        hup = Atomic.make false;
         log = serve.Server.log }
     in
-    (match Sys.os_type with
-    | "Unix" ->
-      (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ())
-    | _ -> ());
-    (try Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> Atomic.set t.term true))
-     with Invalid_argument _ -> ());
-    (try Sys.set_signal Sys.sighup (Sys.Signal_handle (fun _ -> Atomic.set t.hup true))
-     with Invalid_argument _ -> ());
+    let sigs = Server.trap_signals () in
     (* warm boot: the snapshot, plus any journals a previous fleet left
        behind when it died uncleanly — fold them before the workers load
        the snapshot, so nothing a dead fleet decided is lost *)
-    let snapshot_boot =
-      match serve.Server.snapshot with
-      | Some path when Sys.file_exists path -> (
-        match Decide_cache.load t.cache path with
-        | Ok n -> Ok n
-        | Error e -> Error e)
-      | _ -> Ok 0
-    in
-    Result.bind snapshot_boot @@ fun loaded ->
-    let leftover =
-      Array.fold_left (fun acc w -> acc + fold_worker_journal t w ~destructive:true) 0 t.ws
-    in
+    Result.bind (Server.load_snapshot t.cache serve) @@ fun loaded ->
+    let leftover = fold_journals t ~destructive:true in
     if leftover > 0 then begin
-      t.log
-        (Printf.sprintf "fq fleet: recovered %d journal records from a previous fleet"
-           leftover);
+      logf t "recovered %d journal records from a previous fleet" leftover;
       save_snapshot t ~why:"crash recovery"
     end;
-    if loaded > 0 then
-      t.log (Printf.sprintf "fq fleet: warm start, %d cached verdicts loaded" loaded);
-    (* workers fork before the control socket binds, so the first N
-       children have no parent fd to leak; respawns close it *)
-    let spawn_errors =
-      Array.fold_left
-        (fun acc w ->
-          match spawn_worker t w with
-          | Ok _ -> acc
-          | Error e ->
-            schedule_respawn t w (now_ms ());
-            e :: acc)
-        [] t.ws
-    in
-    List.iter (fun e -> t.log (Printf.sprintf "fq fleet: %s" e)) spawn_errors;
-    Result.bind (bind_control serve.Server.addr) @@ fun listen_fd ->
+    Option.iter
+      (fun n -> logf t "warm start, %d cached verdicts loaded" n)
+      loaded;
+    (* bind before the first fork: an unbindable address fails the boot
+       with no worker left behind (children close the inherited fd) *)
+    Result.bind (Server.bind_socket serve.Server.addr) @@ fun listen_fd ->
     t.listen_fd <- Some listen_fd;
-    t.log
-      (Format.asprintf "fq fleet: supervising %d workers on %a (%s)" cfg.workers
-         Server.pp_addr serve.Server.addr
-         (String.concat ", "
-            (Array.to_list (Array.map (fun w -> Server.addr_to_string w.w_addr) t.ws))));
+    respawn_due t (now_ms ());
+    logf t "supervising %d workers on %s (%s)" cfg.workers
+      (Server.addr_to_string serve.Server.addr)
+      (String.concat ", "
+         (Array.to_list (Array.map (fun w -> Server.addr_to_string w.w_addr) t.ws)));
+    let ctl = control t in
     while not t.stopping do
-      if Atomic.exchange t.term false then begin
-        t.log "fq fleet: SIGTERM received, draining";
+      if Atomic.exchange sigs.term false then begin
+        logf t "SIGTERM received, draining";
         t.stopping <- true
       end;
-      if Atomic.exchange t.hup false then
+      if Atomic.exchange sigs.hup false then
         (match rolling_reload t ~path:None with
         | Ok _ -> ()
-        | Error e -> t.log (Printf.sprintf "fq fleet: SIGHUP reload failed: %s" e));
+        | Error e -> logf t "SIGHUP reload failed: %s" e);
+      if Atomic.exchange sigs.usr1 false then ignore (compact t ~why:"SIGUSR1" : int);
       if not t.stopping then begin
         let now = now_ms () in
         reap t now;
         respawn_due t now;
         probes t now;
-        match Unix.select [ listen_fd ] [] [] 0.2 with
-        | [], _, _ -> ()
-        | _ -> (
-          match Unix.accept listen_fd with
-          | fd, _ -> handle_conn t fd
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+        control_tick t ctl listen_fd
       end
     done;
+    List.iter close_conn t.conns;
+    t.conns <- [];
     graceful_shutdown t;
-    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-    (match serve.Server.addr with
-    | Server.Unix_path path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-    | Server.Tcp _ -> ());
+    Server.unbind serve.Server.addr listen_fd;
     Ok 0
   end

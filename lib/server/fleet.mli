@@ -14,28 +14,34 @@
     - {b liveness}: [waitpid WNOHANG] each tick, plus a [health] probe
       over the wire every [probe_interval_ms] — [probe_failures]
       consecutive misses get the worker killed and restarted;
-    - {b restart}: exponential backoff from [base_backoff_ms] by
-      [backoff_factor] up to [max_backoff_ms], reset after a healthy
-      stretch;
-    - {b flap breaker}: [restart_limit] crashes inside [flap_window_ms]
-      park the worker — no further respawns, discovery stops listing it
-      — until an operator restarts the fleet;
+    - {b restart}: exponential backoff from [base_backoff_ms], doubling
+      up to [max_backoff_ms], reset after a healthy stretch;
+    - {b flap breaker}: 5 crashes inside 30s park the worker — no
+      further respawns, discovery stops listing it — until an operator
+      restarts the fleet;
     - {b rolling reload} (SIGHUP or a [reload] control request): the
       state file is validated once up front, then live workers reload
       one at a time, so the fleet never serves zero workers and a
       poison state stops after the first;
     - {b graceful drain} (SIGTERM or [shutdown]): every worker drains
-      its admitted requests, every journal is folded into the snapshot,
-      then the parent exits 0.
+      its admitted requests (one the request cannot reach gets SIGTERM,
+      stragglers SIGKILL after 10s), every journal is folded into the
+      snapshot, then the parent exits 0.  SIGUSR1 folds the live
+      journals and writes the snapshot.
 
-    The control socket answers [ping], [health], [metrics] (fleet-level
-    exposition: [fq_fleet_worker_up{worker}], [fq_fleet_restarts_total
-    {worker}], [fq_journal_compactions_total],
-    [fq_snapshot_last_save_timestamp_seconds], ...), [fleet-status]
-    (the live topology clients discover workers from — see
-    {!Client.discover}), [reload], [snapshot], and [shutdown].
-    Evaluation requests are refused with a pointer at the workers:
-    queries go to workers, fleet management goes to the parent.
+    The control socket is answered by {!Server.answer} from the fleet's
+    {!Server.control} handler record, so it speaks exactly the serve
+    protocol's control ops and line bound: [ping], [health], [metrics]
+    (fleet-level exposition: [fq_fleet_worker_up{worker}],
+    [fq_fleet_restarts_total{worker}], [fq_journal_compactions_total],
+    [fq_snapshot_last_save_timestamp_seconds], ...), [traces] (always
+    empty: tracing happens on the workers), [fleet-status] (the live
+    topology clients discover workers from — see {!Client.discover}),
+    [reload], [snapshot], and [shutdown].  Evaluation requests are
+    refused, under their own id, with a pointer at the workers: queries
+    go to workers, fleet management goes to the parent.  Connections
+    stay open across requests; the single-threaded parent answers at
+    most one line per connection per supervision tick.
 
     {b Fault sites} (see {!Fq_core.Fault}): ["fleet.spawn"] fires
     before each fork (a faulted spawn rides the same backoff schedule
@@ -45,35 +51,28 @@
 
 type config = {
   workers : int;  (** fleet size; at least 1 *)
-  restart_limit : int;  (** crashes within [flap_window_ms] that park a worker *)
-  flap_window_ms : int;
   base_backoff_ms : int;  (** first respawn delay after a crash *)
-  backoff_factor : float;
   max_backoff_ms : int;
   probe_interval_ms : int;  (** wire health-probe period *)
   probe_timeout_ms : int;  (** per-probe connect/read budget *)
   probe_failures : int;  (** consecutive misses before the worker is killed *)
-  drain_grace_ms : int;  (** graceful-shutdown budget before SIGTERM/SIGKILL escalation *)
   serve : Server.config;
       (** template for workers: [addr] is the base address, [journal]
-          (or [snapshot ^ ".journal"]) the per-worker journal base path;
-          the fleet derives per-worker values and forces
+          (or [snapshot ^ ".journal"]) the per-worker journal base path,
+          [metrics_file] the per-worker metrics file base path; the
+          fleet derives per-worker values and forces
           [snapshot_read_only] *)
 }
 
-val default_config : state:Fq_db.State.t -> Server.addr -> config
-(** Two workers; park after 5 crashes in 30s; backoff 100ms doubling to
-    5s; probe every 1s with a 1s budget, kill after 3 misses; 10s drain
-    grace.  [serve] is {!Server.default_config}. *)
-
-val worker_addr : Server.addr -> int -> Server.addr
-(** The address worker [i] listens on: [ADDR.i] for unix sockets,
-    [port + 1 + i] for tcp. *)
+val default_config : Server.config -> config
+(** A fleet over the [serve] template: two workers; backoff 100ms
+    doubling to 5s; probe every 1s with a 1s budget, kill after 3
+    misses. *)
 
 val run : config -> (int, string) result
 (** Boot the fleet and supervise until [shutdown]/SIGTERM: load the
-    snapshot, fold any journals a previous fleet left behind, fork the
-    workers, bind the control socket, then loop (reap / respawn / probe
+    snapshot, fold any journals a previous fleet left behind, bind the
+    control socket, fork the workers, then loop (reap / respawn / probe
     / serve control connections).  Returns the process exit code —
     [Ok 0] after a graceful drain — or [Error] if the snapshot, control
     socket, or configuration is unusable. *)

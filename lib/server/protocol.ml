@@ -11,7 +11,6 @@ let domains : (string * Fq_domain.Domain.t) list =
     ("arithmetic", (module Fq_domain.Arithmetic));
     ("traces", (module Fq_domain.Traces)) ]
 
-let find_domain name = List.assoc_opt name domains
 
 type request =
   | Eval of {
@@ -41,8 +40,7 @@ let request_id = function
 
 (* ----------------------------- requests ----------------------------- *)
 
-let parse_request line =
-  Result.bind (Json.parse line) @@ fun j ->
+let request_of_json j =
   let str name = Option.bind (Json.member name j) Json.to_str_opt in
   let int name = Option.bind (Json.member name j) Json.to_int_opt in
   let id =
@@ -86,6 +84,8 @@ let parse_request line =
   | Some "fleet-status" -> Ok (Fleet_status { id })
   | Some op -> Error (Printf.sprintf "protocol: unknown op %S" op)
   | None -> Error "protocol: missing op"
+
+let parse_request line = Result.bind (Json.parse line) request_of_json
 
 let request_to_json req =
   let base op id rest = Json.Obj (("op", Json.Str op) :: ("id", Json.Str id) :: rest) in

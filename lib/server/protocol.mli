@@ -42,7 +42,6 @@ module Outcome = Fq_eval.Outcome
 val domains : (string * Fq_domain.Domain.t) list
 (** The built-in domain registry, by CLI/protocol name. *)
 
-val find_domain : string -> Fq_domain.Domain.t option
 
 type request =
   | Eval of {
@@ -88,6 +87,8 @@ val request_id : request -> string
 
 val parse_request : string -> (request, string) result
 (** Parse one request line. *)
+
+val request_of_json : Json.t -> (request, string) result
 
 val request_to_json : request -> Json.t
 (** The client-side encoder; [parse_request] inverts it. *)

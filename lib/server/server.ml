@@ -131,6 +131,8 @@ let default_config ~state addr =
     stats = Optimizer.Stats.of_state state;
     log = (fun line -> Printf.eprintf "%s\n%!" line) }
 
+let logf cfg fmt = Printf.ksprintf cfg.log ("fq serve: " ^^ fmt)
+
 (* The journal rides with the snapshot unless given its own path: both
    files describe the same cache, and compaction folds one into the
    other. *)
@@ -419,9 +421,6 @@ type t = {
   slog_lock : Mutex.t;  (* serializes slow-query log appends *)
   mutable last_metrics_dump : float;  (* accept-loop thread only *)
   last_save : float Atomic.t;  (* unix time of the last successful snapshot save *)
-  usr1 : bool Atomic.t;
-  hup : bool Atomic.t;
-  term : bool Atomic.t;
 }
 
 let now_ms () = Unix.gettimeofday () *. 1000.
@@ -495,14 +494,13 @@ let reset_journal srv =
     | Ok () -> Atomic.set srv.japps 0
     | Error e ->
       reg_count srv.reg "serve.journal_errors";
-      srv.cfg.log (Printf.sprintf "fq serve: journal reset failed: %s" e))
+      logf srv.cfg "journal reset failed: %s" e)
 
 (* ----------------------------- evaluation --------------------------- *)
 
-(* Mirrors the fq batch worker: breaker outside the cache, budget trips
-   never counted against the breaker, crash isolation via the supervisor
-   (one attempt — retrying is the client's decision, it owns the resume
-   token). *)
+(* The fq batch worker's breaker-guarded cached decide, with crash
+   isolation via the supervisor (one attempt — retrying is the client's
+   decision, it owns the resume token). *)
 let eval_outcome srv ep ~domain_name ~domain ~fuel ~timeout_ms ~resume ~cancel ~brownout
     text =
   match Parser.formula text with
@@ -516,28 +514,7 @@ let eval_outcome srv ep ~domain_name ~domain ~fuel ~timeout_ms ~resume ~cancel ~
       | Some b -> b
       | None -> assert false (* populated for every registry domain per epoch *)
     in
-    let cached = Decide_cache.domain srv.cache domain in
-    let (module C : Fq_domain.Domain.S) = cached in
-    let guarded =
-      Fq_domain.Domain.with_decide cached (fun g ->
-          if not (Supervisor.Breaker.allow breaker) then
-            Error
-              (Printf.sprintf "unsupported: circuit open: %s decision procedure cooling down"
-                 domain_name)
-          else
-            match C.decide g with
-            | Ok _ as r ->
-              Supervisor.Breaker.success breaker;
-              r
-            | Error e as r ->
-              (match Budget.failure_of_string e with
-              | Some (Budget.Unsupported _) | None -> Supervisor.Breaker.failure breaker
-              | Some _ -> ());
-              r
-            | exception e ->
-              Supervisor.Breaker.failure breaker;
-              raise e)
-    in
+    let guarded = Decide_cache.guarded srv.cache ~breaker ~name:domain_name domain in
     let fuel = min (max 1 (Option.value fuel ~default:srv.cfg.default_fuel)) srv.cfg.max_fuel in
     let fuel =
       if brownout then max 1 (fuel / max 1 srv.cfg.brownout_fuel_divisor) else fuel
@@ -599,11 +576,7 @@ let rollup_json rus =
 let push_trace srv entry =
   Mutex.lock srv.tlock;
   Fun.protect ~finally:(fun () -> Mutex.unlock srv.tlock) @@ fun () ->
-  let rec take n = function
-    | [] -> []
-    | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
-  in
-  srv.trace_ring <- entry :: take (max 0 (srv.cfg.trace_ring - 1)) srv.trace_ring
+  srv.trace_ring <- entry :: List.filteri (fun i _ -> i < srv.cfg.trace_ring - 1) srv.trace_ring
 
 (* A dry compile, shared by the explain op and the slow-query log: which
    tier will answer, and with what plan — without spending any budget. *)
@@ -853,35 +826,24 @@ let exposition_text srv =
   in
   Aggregate.exposition (registry_families srv.reg @ gauges)
 
-let metrics_response srv ~id =
+let metrics_fields srv =
   let cache = Decide_cache.stats srv.cache in
   let inflight, epoch = Mutex.protect srv.lock (fun () -> (srv.inflight, srv.current.ep_id)) in
-  Protocol.ok_response ~id
-    [ ("version", Json.Int Aggregate.exposition_version);
-      ( "decide_cache",
-        Json.Obj
-          [ ("hits", Json.Int cache.Decide_cache.hits);
-            ("misses", Json.Int cache.Decide_cache.misses);
-            ("entries", Json.Int cache.Decide_cache.entries);
-            ("evictions", Json.Int cache.Decide_cache.evictions) ] );
-      ("inflight", Json.Int inflight);
-      ("epoch", Json.Int epoch);
-      ("exposition", Json.Str (exposition_text srv)) ]
+  [ ("version", Json.Int Aggregate.exposition_version);
+    ( "decide_cache",
+      Json.Obj
+        [ ("hits", Json.Int cache.Decide_cache.hits);
+          ("misses", Json.Int cache.Decide_cache.misses);
+          ("entries", Json.Int cache.Decide_cache.entries);
+          ("evictions", Json.Int cache.Decide_cache.evictions) ] );
+    ("inflight", Json.Int inflight);
+    ("epoch", Json.Int epoch);
+    ("exposition", Json.Str (exposition_text srv)) ]
 
-let traces_response srv ~id ~limit =
-  let traces =
-    Mutex.protect srv.tlock (fun () ->
-        match limit with
-        | None -> srv.trace_ring
-        | Some n ->
-          let rec take n = function
-            | [] -> []
-            | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
-          in
-          take (max 0 n) srv.trace_ring)
-  in
-  Protocol.ok_response ~id
-    [ ("sample_every", Json.Int srv.cfg.trace_sample); ("traces", Json.List traces) ]
+let traces_fields srv limit =
+  let ring = Mutex.protect srv.tlock (fun () -> srv.trace_ring) in
+  let traces = match limit with None -> ring | Some n -> List.filteri (fun i _ -> i < n) ring in
+  [ ("sample_every", Json.Int srv.cfg.trace_sample); ("traces", Json.List traces) ]
 
 (* --metrics-file: the same exposition, dumped atomically (tmp + rename)
    from the accept loop so a file scrape never sees a torn write. *)
@@ -899,7 +861,7 @@ let dump_metrics_file srv =
 
 (* The one-line triage view: is the server keeping up, which breakers
    are open, which epoch is live, is persistence healthy. *)
-let health_response srv ~id =
+let health_fields srv =
   let depth, inflight, epoch, ema, breakers =
     Mutex.protect srv.lock (fun () ->
         ( Queue.length srv.queue,
@@ -920,15 +882,13 @@ let health_response srv ~id =
     List.sort (fun (a, _) (b, _) -> String.compare a b) breakers
     |> List.map (fun (name, st) -> (name, Json.Str (state_str st)))
   in
-  let journal_records = Atomic.get srv.japps in
-  Protocol.ok_response ~id
-    [ ("epoch", Json.Int epoch);
-      ("queue_depth", Json.Int depth);
-      ("inflight", Json.Int inflight);
-      ("brownout", Json.Bool (depth >= srv.cfg.brownout_queue));
-      ("est_wait_ms", Json.Int (int_of_float est_wait));
-      ("breakers", Json.Obj breakers);
-      ("journal_records", Json.Int journal_records) ]
+  [ ("epoch", Json.Int epoch);
+    ("queue_depth", Json.Int depth);
+    ("inflight", Json.Int inflight);
+    ("brownout", Json.Bool (depth >= srv.cfg.brownout_queue));
+    ("est_wait_ms", Json.Int (int_of_float est_wait));
+    ("breakers", Json.Obj breakers);
+    ("journal_records", Json.Int (Atomic.get srv.japps)) ]
 
 (* ------------------------------ snapshots --------------------------- *)
 
@@ -938,37 +898,33 @@ let health_response srv ~id =
    same temp+rename. *)
 let snapshot_writable cfg = cfg.snapshot <> None && not cfg.snapshot_read_only
 
+(* A successful snapshot subsumes the journal: reset it so recovery
+   never replays records the snapshot already holds (replaying them
+   would be idempotent, just wasted boot time). *)
 let save_snapshot srv =
   if not (snapshot_writable srv.cfg) then Ok 0
   else
     match Decide_cache.save srv.cache (Option.get srv.cfg.snapshot) with
     | Ok n ->
       Atomic.set srv.last_save (Unix.gettimeofday ());
+      reset_journal srv;
       Ok n
     | Error _ as e -> e
 
-(* A successful snapshot subsumes the journal: reset it so recovery
-   never replays records the snapshot already holds (replaying them
-   would be idempotent, just wasted boot time). *)
 let save_snapshot_logged srv ~why =
   match save_snapshot srv with
-  | Ok 0 when not (snapshot_writable srv.cfg) -> ()
+  | Ok _ when not (snapshot_writable srv.cfg) -> ()
   | Ok n ->
-    reset_journal srv;
-    srv.cfg.log
-      (Printf.sprintf "fq serve: snapshot written (%d entries, %s) to %s" n why
-         (Option.get srv.cfg.snapshot))
-  | Error e -> srv.cfg.log (Printf.sprintf "fq serve: snapshot failed: %s" e)
+    logf srv.cfg "snapshot written (%d entries, %s) to %s" n why
+      (Option.get srv.cfg.snapshot)
+  | Error e -> logf srv.cfg "snapshot failed: %s" e
 
 let compact srv =
   match save_snapshot srv with
-  | Ok _ when snapshot_writable srv.cfg ->
-    reset_journal srv;
-    reg_count srv.reg "serve.compactions"
-  | Ok _ -> ()
+  | Ok _ -> if snapshot_writable srv.cfg then reg_count srv.reg "serve.compactions"
   | Error e ->
     reg_count srv.reg "serve.journal_errors";
-    srv.cfg.log (Printf.sprintf "fq serve: compaction failed: %s" e)
+    logf srv.cfg "compaction failed: %s" e
 
 (* ------------------------------ reload ------------------------------ *)
 
@@ -977,37 +933,32 @@ let swap_epoch srv state ~source =
     Mutex.protect srv.lock (fun () ->
         let ep = make_epoch srv.cfg ~id:(srv.current.ep_id + 1) state in
         srv.current <- ep;
-        srv.state_path <- (match source with Some _ -> source | None -> srv.state_path);
+        srv.state_path <- Some source;
         ep)
   in
   reg_count srv.reg "serve.reloads";
   let schema = State.schema ep.ep_state in
-  srv.cfg.log
-    (Printf.sprintf "fq serve: epoch %d: state reloaded%s (%d relations, %d constants)"
-       ep.ep_id
-       (match source with Some p -> " from " ^ p | None -> "")
-       (List.length (Schema.relations schema))
-       (List.length (State.constants ep.ep_state)));
+  logf srv.cfg "epoch %d: state reloaded from %s (%d relations, %d constants)" ep.ep_id source
+    (List.length (Schema.relations schema))
+    (List.length (State.constants ep.ep_state));
   ep.ep_id
 
 (* [path = None] means "re-read the configured state file" — the SIGHUP
-   semantics.  The file is parsed before any pointer moves, so a broken
-   file leaves the old epoch serving. *)
+   semantics. *)
+let load_state_file path ~configured =
+  match (path, configured) with
+  | Some p, _ | None, Some p -> Result.map (fun state -> (p, state)) (Fq_db.Codec.load_state p)
+  | None, None -> Error "no state file configured (start with --state-file or name one)"
+
+(* The file is parsed before any pointer moves, so a broken file leaves
+   the old epoch serving. *)
 let do_reload srv ~path =
-  let source =
-    match path with
-    | Some p -> Ok p
-    | None -> (
-      match Mutex.protect srv.lock (fun () -> srv.state_path) with
-      | Some p -> Ok p
-      | None -> Error "no state file configured (start with --state-file or name one)")
-  in
-  Result.bind source @@ fun p ->
-  match Fq_db.Codec.load_state p with
+  let configured = Mutex.protect srv.lock (fun () -> srv.state_path) in
+  match load_state_file path ~configured with
   | Error e ->
     reg_count srv.reg "serve.reload_failures";
     Error e
-  | Ok state -> Ok (swap_epoch srv state ~source:(Some p))
+  | Ok (p, state) -> Ok (swap_epoch srv state ~source:p)
 
 (* ------------------------------ admission --------------------------- *)
 
@@ -1218,9 +1169,7 @@ let scan_watchdog srv =
             attempts = [] }
       in
       let _first : bool = complete_job srv job response in
-      srv.cfg.log
-        (Printf.sprintf "fq serve: watchdog recycled worker %d (request %S overran)"
-           slot.s_idx id);
+      logf srv.cfg "watchdog recycled worker %d (request %S overran)" slot.s_idx id;
       let dom = Stdlib.Domain.spawn (fun () -> worker srv slot gen) in
       Mutex.protect srv.lock (fun () -> slot.s_dom <- Some dom))
     victims
@@ -1232,126 +1181,236 @@ let initiate_shutdown srv =
       srv.stopping <- true;
       Condition.broadcast srv.nonempty)
 
-(* Bounded line reader: like input_line, but a line longer than
+(* Bounded line reader over a raw descriptor: a line longer than
    [max_bytes] is drained (not buffered) to its newline and reported as
-   oversized — one hostile client cannot balloon a reader thread. *)
-let read_line_bounded ic ~max_bytes =
-  let buf = Buffer.create 256 in
-  let rec go overflow =
-    match input_char ic with
-    | exception End_of_file ->
-      if overflow then `Too_long
-      else if Buffer.length buf = 0 then `Eof
-      else `Line (Buffer.contents buf)
-    | '\n' -> if overflow then `Too_long else `Line (Buffer.contents buf)
-    | c ->
-      if overflow || Buffer.length buf >= max_bytes then go true
-      else begin
-        Buffer.add_char buf c;
-        go false
-      end
+   oversized, so one hostile client cannot balloon a reader.  Reads are
+   explicit: [read_line ~refills] makes at most [refills] read(2) calls.
+   A serve reader thread blocks until its next line; the fleet's
+   single-threaded select loop reads only a descriptor select reported
+   ready, and takes an already-buffered line without reading at all. *)
+type reader = {
+  rd_fd : Unix.file_descr;
+  rd_max : int;
+  rd_chunk : Bytes.t;
+  mutable rd_pos : int;  (* rd_chunk[rd_pos, rd_len) is read but unconsumed *)
+  mutable rd_len : int;
+  rd_line : Buffer.t;  (* the line so far, unless it passed rd_max *)
+  mutable rd_over : bool;
+  mutable rd_eof : bool;
+}
+
+let reader ~max_bytes fd =
+  { rd_fd = fd; rd_max = max_bytes; rd_chunk = Bytes.create 65536; rd_pos = 0; rd_len = 0;
+    rd_line = Buffer.create 256; rd_over = false; rd_eof = false }
+
+let buffered r = r.rd_pos < r.rd_len
+
+let rec read_line r ~refills =
+  (* consume up to the next newline, or all that is buffered *)
+  let stop = ref r.rd_pos in
+  while !stop < r.rd_len && Bytes.get r.rd_chunk !stop <> '\n' do incr stop done;
+  let n = !stop - r.rd_pos in
+  if r.rd_over || Buffer.length r.rd_line + n > r.rd_max then r.rd_over <- true
+  else Buffer.add_subbytes r.rd_line r.rd_chunk r.rd_pos n;
+  r.rd_pos <- min r.rd_len (!stop + 1);
+  if !stop < r.rd_len || (r.rd_eof && (r.rd_over || Buffer.length r.rd_line > 0)) then begin
+    let line = if r.rd_over then `Too_long else `Line (Buffer.contents r.rd_line) in
+    Buffer.clear r.rd_line;
+    r.rd_over <- false;
+    line
+  end
+  else if r.rd_eof then `Eof
+  else if refills <= 0 then `Pending
+  else begin
+    (match Unix.read r.rd_fd r.rd_chunk 0 (Bytes.length r.rd_chunk) with
+    | 0 -> r.rd_eof <- true
+    | n ->
+      r.rd_pos <- 0;
+      r.rd_len <- n
+    | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error _ -> r.rd_eof <- true);
+    read_line r ~refills:(refills - 1)
+  end
+
+(* ------------------------------ control ----------------------------- *)
+
+type control = {
+  health : unit -> (string * Json.t) list;
+  metrics : unit -> (string * Json.t) list;
+  traces : int option -> (string * Json.t) list;
+  topology : unit -> bool * Protocol.worker_info list;
+  reload : string option -> ((string * Json.t) list, string) result;
+  save : unit -> (int, string) result;
+  shutdown : unit -> unit;
+  evaluate : Protocol.request -> Json.t option;
+  count : string -> unit;
+}
+
+(* The one control-op table, shared by a serve connection thread and the
+   fleet parent's select loop: read one line, answer it from [ctl]. *)
+let answer ctl r ~refills ~send =
+  let ok id fields = send (Protocol.ok_response ~id fields) in
+  let malformed id reason =
+    ctl.count "malformed";
+    send (Protocol.malformed_response ~id reason)
   in
-  go false
+  match read_line r ~refills with
+  | (`Pending | `Eof) as idle -> idle
+  | `Too_long ->
+    malformed "" (Printf.sprintf "protocol: line exceeds %d bytes" r.rd_max);
+    `Answered
+  | `Line line ->
+    let line = String.trim line in
+    (if line <> "" then
+       match Protocol.parse_request line with
+       | Error e -> malformed "" e
+       | Ok ((Protocol.Eval _ | Protocol.Explain _) as req) ->
+         Option.iter send (ctl.evaluate req)
+       | Ok (Protocol.Ping { id }) ->
+         ctl.count "ping";
+         ok id []
+       | Ok (Protocol.Metrics { id }) ->
+         ctl.count "metrics";
+         ok id (ctl.metrics ())
+       | Ok (Protocol.Traces { id; limit }) ->
+         ctl.count "traces";
+         ok id (ctl.traces limit)
+       | Ok (Protocol.Health { id }) ->
+         ctl.count "health";
+         ok id (ctl.health ())
+       | Ok (Protocol.Fleet_status { id }) ->
+         ctl.count "fleet-status";
+         let fleet, workers = ctl.topology () in
+         send (Protocol.fleet_status_response ~id ~fleet workers)
+       | Ok (Protocol.Snapshot { id }) -> (
+         ctl.count "snapshot";
+         match ctl.save () with
+         | Ok n -> ok id [ ("entries", Json.Int n) ]
+         | Error e -> send (Protocol.malformed_response ~id e))
+       | Ok (Protocol.Reload { id; path }) -> (
+         ctl.count "reload";
+         match ctl.reload path with
+         | Ok fields -> ok id fields
+         | Error e -> send (Protocol.malformed_response ~id ("reload: " ^ e)))
+       | Ok (Protocol.Shutdown { id }) ->
+         ctl.count "shutdown";
+         ok id [ ("draining", Json.Bool true) ];
+         ctl.shutdown ());
+    `Answered
 
 let conn_loop srv conn =
-  let ic = Unix.in_channel_of_descr conn.c_fd in
   reg_count srv.reg "serve.connections";
+  let ctl =
+    { health = (fun () -> health_fields srv);
+      metrics = (fun () -> metrics_fields srv);
+      traces = traces_fields srv;
+      (* a lone server is a one-worker, non-fleet topology: clients run
+         the same discovery against both shapes *)
+      topology =
+        (fun () ->
+          ( false,
+            [ { Protocol.worker = Option.value srv.cfg.worker_id ~default:"w0";
+                worker_addr = addr_to_string srv.cfg.addr;
+                up = true;
+                pid = Some (Unix.getpid ());
+                restarts = 0 } ] ));
+      reload =
+        (fun path ->
+          Result.map (fun epoch -> [ ("epoch", Json.Int epoch) ]) (do_reload srv ~path));
+      save = (fun () -> save_snapshot srv);
+      shutdown = (fun () -> initiate_shutdown srv);
+      evaluate =
+        (fun req ->
+          admit srv conn req;
+          None);
+      count =
+        (function
+        | "malformed" -> reg_count srv.reg "serve.malformed"
+        | op ->
+          if op <> "ping" then reg_count srv.reg "serve.requests";
+          reg_lcount srv.reg "fq_requests_total" [ ("op", op) ]) }
+  in
+  let r = reader ~max_bytes:srv.cfg.max_line_bytes conn.c_fd in
   let rec go () =
-    match read_line_bounded ic ~max_bytes:srv.cfg.max_line_bytes with
-    | exception Sys_error _ -> ()
+    match answer ctl r ~refills:max_int ~send:(send srv conn) with
     | `Eof -> ()
-    | `Too_long ->
-      reg_count srv.reg "serve.malformed";
-      send srv conn
-        (Protocol.malformed_response ~id:""
-           (Printf.sprintf "protocol: line exceeds %d bytes" srv.cfg.max_line_bytes));
-      go ()
-    | `Line line ->
-      let line = String.trim line in
-      if line = "" then go ()
-      else begin
-        (match Protocol.parse_request line with
-        | Error e ->
-          reg_count srv.reg "serve.malformed";
-          send srv conn (Protocol.malformed_response ~id:"" e)
-        | Ok (Protocol.Ping { id }) ->
-          reg_lcount srv.reg "fq_requests_total" [ ("op", "ping") ];
-          send srv conn (Protocol.ok_response ~id [])
-        | Ok (Protocol.Metrics { id }) ->
-          reg_count srv.reg "serve.requests";
-          reg_lcount srv.reg "fq_requests_total" [ ("op", "metrics") ];
-          send srv conn (metrics_response srv ~id)
-        | Ok (Protocol.Traces { id; limit }) ->
-          reg_count srv.reg "serve.requests";
-          reg_lcount srv.reg "fq_requests_total" [ ("op", "traces") ];
-          send srv conn (traces_response srv ~id ~limit)
-        | Ok (Protocol.Health { id }) ->
-          reg_count srv.reg "serve.requests";
-          reg_lcount srv.reg "fq_requests_total" [ ("op", "health") ];
-          send srv conn (health_response srv ~id)
-        | Ok (Protocol.Fleet_status { id }) ->
-          (* a lone server is a one-worker, non-fleet topology: clients
-             run the same discovery against both shapes *)
-          reg_count srv.reg "serve.requests";
-          reg_lcount srv.reg "fq_requests_total" [ ("op", "fleet-status") ];
-          send srv conn
-            (Protocol.fleet_status_response ~id ~fleet:false
-               [ { Protocol.worker = Option.value srv.cfg.worker_id ~default:"w0";
-                   worker_addr = addr_to_string srv.cfg.addr;
-                   up = true;
-                   pid = Some (Unix.getpid ());
-                   restarts = 0 } ])
-        | Ok (Protocol.Snapshot { id }) -> (
-          reg_count srv.reg "serve.requests";
-          match save_snapshot srv with
-          | Ok n ->
-            if snapshot_writable srv.cfg then reset_journal srv;
-            send srv conn (Protocol.ok_response ~id [ ("entries", Json.Int n) ])
-          | Error e -> send srv conn (Protocol.malformed_response ~id e))
-        | Ok (Protocol.Reload { id; path }) -> (
-          reg_count srv.reg "serve.requests";
-          match do_reload srv ~path with
-          | Ok epoch -> send srv conn (Protocol.ok_response ~id [ ("epoch", Json.Int epoch) ])
-          | Error e -> send srv conn (Protocol.malformed_response ~id ("reload: " ^ e)))
-        | Ok (Protocol.Shutdown { id }) ->
-          reg_count srv.reg "serve.requests";
-          send srv conn (Protocol.ok_response ~id [ ("draining", Json.Bool true) ]);
-          initiate_shutdown srv
-        | Ok (Protocol.Eval _ as req) | Ok (Protocol.Explain _ as req) -> admit srv conn req);
-        go ()
-      end
+    | `Answered | `Pending -> go ()
   in
   go ();
   Mutex.protect conn.c_olock (fun () -> conn.c_closed <- true)
 
 (* -------------------------------- boot ------------------------------ *)
 
-let bind_socket = function
-  | Unix_path path ->
-    if Sys.file_exists path then (try Unix.unlink path with Unix.Unix_error _ -> ());
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try
-       Unix.bind fd (Unix.ADDR_UNIX path);
-       Unix.listen fd 64;
-       Ok fd
-     with Unix.Unix_error (e, _, _) ->
-       Unix.close fd;
-       Error (Printf.sprintf "cannot bind %s: %s" path (Unix.error_message e)))
-  | Tcp port ->
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try
-       Unix.setsockopt fd Unix.SO_REUSEADDR true;
-       Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-       Unix.listen fd 64;
-       Ok fd
-     with Unix.Unix_error (e, _, _) ->
-       Unix.close fd;
-       Error (Printf.sprintf "cannot bind port %d: %s" port (Unix.error_message e)))
+let sockaddr = function
+  | Unix_path path -> Unix.ADDR_UNIX path
+  | Tcp port -> Unix.ADDR_INET (Unix.inet_addr_loopback, port)
+
+let bind_socket addr =
+  (match addr with
+  | Unix_path path when Sys.file_exists path -> (
+    try Unix.unlink path with Unix.Unix_error _ -> ())
+  | _ -> ());
+  let fd = Unix.socket (Unix.domain_of_sockaddr (sockaddr addr)) Unix.SOCK_STREAM 0 in
+  try
+    (match addr with Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true | Unix_path _ -> ());
+    Unix.bind fd (sockaddr addr);
+    Unix.listen fd 64;
+    Ok fd
+  with Unix.Unix_error (e, _, _) ->
+    Unix.close fd;
+    Error
+      (Printf.sprintf "cannot bind %s: %s"
+         (match addr with Unix_path path -> path | Tcp port -> "port " ^ string_of_int port)
+         (Unix.error_message e))
+
+let unbind addr fd =
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  match addr with
+  | Unix_path path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+  | Tcp _ -> ()
+
+type signals = { term : bool Atomic.t; hup : bool Atomic.t; usr1 : bool Atomic.t }
+
+(* SIGTERM drains, SIGHUP reloads, SIGUSR1 writes the snapshot; each
+   handler only raises a flag the owning loop polls on its tick.  A peer
+   that hangs up mid-write must not kill the process: SIGPIPE is
+   ignored and the write fails with EPIPE instead. *)
+let trap_signals () =
+  let sigs = { term = Atomic.make false; hup = Atomic.make false; usr1 = Atomic.make false } in
+  let trap signal flag =
+    try Sys.set_signal signal (Sys.Signal_handle (fun _ -> Atomic.set flag true))
+    with Invalid_argument _ -> ()
+  in
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  trap Sys.sigterm sigs.term;
+  trap Sys.sighup sigs.hup;
+  trap Sys.sigusr1 sigs.usr1;
+  sigs
+
+(* Warm boot: [Some n] verdicts loaded from the snapshot, [None] when
+   there is no snapshot file yet. *)
+let load_snapshot cache (cfg : config) =
+  match cfg.snapshot with
+  | Some path when Sys.file_exists path -> Result.map Option.some (Decide_cache.load cache path)
+  | _ -> Ok None
+
+(* Replay a journal's records into [cache]; [applied] counts the
+   verdicts restored and [skipped] also counts records whose payload is
+   not a cache entry. *)
+let replay_journal ?truncate cache path =
+  let unparsable = ref 0 in
+  let replay payload =
+    match Decide_cache.entry_of_line payload with
+    | Ok (key, value) -> Decide_cache.restore cache key value
+    | Error _ -> incr unparsable
+  in
+  Result.map
+    (fun (r : Journal.recovery) ->
+      { r with applied = r.applied - !unparsable; skipped = r.skipped + !unparsable })
+    (Journal.recover ?truncate path ~f:replay)
 
 let run_bound cfg =
-  (match Sys.os_type with
-  | "Unix" -> (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ())
-  | _ -> ());
+  let sigs = trap_signals () in
   let srv =
     { cfg;
       cache = Decide_cache.create ();
@@ -1376,27 +1435,9 @@ let run_bound cfg =
       trace_ring = [];
       slog_lock = Mutex.create ();
       last_metrics_dump = 0.;
-      last_save = Atomic.make 0.;
-      usr1 = Atomic.make false;
-      hup = Atomic.make false;
-      term = Atomic.make false }
+      last_save = Atomic.make 0. }
   in
-  (try
-     Sys.set_signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> Atomic.set srv.usr1 true))
-   with Invalid_argument _ -> ());
-  (try Sys.set_signal Sys.sighup (Sys.Signal_handle (fun _ -> Atomic.set srv.hup true))
-   with Invalid_argument _ -> ());
-  (try Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> Atomic.set srv.term true))
-   with Invalid_argument _ -> ());
-  let snapshot_boot =
-    match cfg.snapshot with
-    | Some path when Sys.file_exists path -> (
-      match Decide_cache.load srv.cache path with
-      | Ok n -> Ok (Some n)
-      | Error e -> Error e)
-    | _ -> Ok None
-  in
-  Result.bind snapshot_boot @@ fun loaded ->
+  Result.bind (load_snapshot srv.cache cfg) @@ fun loaded ->
   (* Journal recovery runs after the snapshot load so recovered records
      (which postdate the snapshot) win the MRU refresh; then the journal
      is opened for appending and the decide cache starts feeding it. *)
@@ -1404,33 +1445,24 @@ let run_bound cfg =
     match journal_path cfg with
     | None -> Ok None
     | Some jpath ->
-      let unparsable = ref 0 in
-      let replay payload =
-        match Decide_cache.entry_of_line payload with
-        | Ok (key, value) -> Decide_cache.restore srv.cache key value
-        | Error _ -> incr unparsable
-      in
-      Result.bind (Journal.recover jpath ~f:replay) @@ fun r ->
-      Result.map (fun j -> Some (j, r, !unparsable)) (Journal.open_append jpath)
+      Result.bind (replay_journal srv.cache jpath) @@ fun r ->
+      Result.map (fun j -> Some (j, r)) (Journal.open_append jpath)
   in
   Result.bind journal_boot @@ fun jopened ->
   Result.bind (bind_socket cfg.addr) @@ fun listen_fd ->
   (match loaded with
-  | Some n -> cfg.log (Printf.sprintf "fq serve: warm start, %d cached verdicts loaded" n)
+  | Some n -> logf cfg "warm start, %d cached verdicts loaded" n
   | None -> ());
   (match jopened with
-  | Some (j, { Journal.applied; skipped; truncated_bytes }, unparsable) ->
+  | Some (j, { Journal.applied; skipped; truncated_bytes }) ->
     srv.journal <- Some j;
     Decide_cache.set_on_insert srv.cache (Some (fun key value -> journal_record srv key value));
-    if applied + skipped + truncated_bytes + unparsable > 0 then
-      cfg.log
-        (Printf.sprintf
-           "fq serve: journal recovered %d records (%d skipped, %d torn bytes) from %s"
-           applied (skipped + unparsable) truncated_bytes (Journal.path j))
+    if applied + skipped + truncated_bytes > 0 then
+      logf cfg "journal recovered %d records (%d skipped, %d torn bytes) from %s" applied
+        skipped truncated_bytes (Journal.path j)
   | None -> ());
-  cfg.log
-    (Format.asprintf "fq serve: listening on %a (%d workers, %d in-flight cap)" pp_addr
-       cfg.addr cfg.jobs cfg.max_inflight);
+  logf cfg "listening on %s (%d workers, %d in-flight cap)" (addr_to_string cfg.addr) cfg.jobs
+    cfg.max_inflight;
   Array.iter
     (fun slot -> slot.s_dom <- Some (Stdlib.Domain.spawn (fun () -> worker srv slot slot.s_gen)))
     srv.slots;
@@ -1442,15 +1474,15 @@ let run_bound cfg =
        already accepted, fold the journal into the snapshot, exit 0 —
        the same path a ctl shutdown takes.  kill -9 is the crash path
        the journal covers. *)
-    if Atomic.exchange srv.term false then begin
-      cfg.log "fq serve: SIGTERM received, draining";
+    if Atomic.exchange sigs.term false then begin
+      logf cfg "SIGTERM received, draining";
       initiate_shutdown srv
     end;
-    if Atomic.exchange srv.usr1 false then save_snapshot_logged srv ~why:"SIGUSR1";
-    if Atomic.exchange srv.hup false then
+    if Atomic.exchange sigs.usr1 false then save_snapshot_logged srv ~why:"SIGUSR1";
+    if Atomic.exchange sigs.hup false then
       (match do_reload srv ~path:None with
       | Ok _ -> ()
-      | Error e -> cfg.log (Printf.sprintf "fq serve: SIGHUP reload failed: %s" e));
+      | Error e -> logf cfg "SIGHUP reload failed: %s" e);
     if Atomic.exchange srv.needs_compact false then compact srv;
     scan_watchdog srv;
     (* periodic atomic metrics dump: at most one write per 2s tick window *)
@@ -1519,22 +1551,18 @@ let run_bound cfg =
       Thread.join thread;
       (try Unix.close conn.c_fd with Unix.Unix_error _ -> ()))
     !conns;
-  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  (match cfg.addr with
-  | Unix_path path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-  | Tcp _ -> ());
+  unbind cfg.addr listen_fd;
   let served = reg_get srv.reg "serve.requests" in
   let rejected = reg_get srv.reg "serve.rejected" in
-  cfg.log
-    (Printf.sprintf
-       "fq serve: shutdown complete — %d requests served (%d complete, %d partial, %d \
-        unsupported, %d error), %d rejected"
-       served
-       (reg_get srv.reg "serve.eval.complete")
-       (reg_get srv.reg "serve.eval.partial")
-       (reg_get srv.reg "serve.eval.unsupported")
-       (reg_get srv.reg "serve.eval.error")
-       rejected);
+  logf cfg
+    "shutdown complete — %d requests served (%d complete, %d partial, %d unsupported, %d \
+     error), %d rejected"
+    served
+    (reg_get srv.reg "serve.eval.complete")
+    (reg_get srv.reg "serve.eval.partial")
+    (reg_get srv.reg "serve.eval.unsupported")
+    (reg_get srv.reg "serve.eval.error")
+    rejected;
   Ok 0
 
 let run cfg =

@@ -130,6 +130,82 @@ val default_config : state:Fq_db.State.t -> addr -> config
     [Stats.of_state state], writable snapshot, no worker id, logging to
     [stderr]. *)
 
+val journal_path : config -> string option
+(** [journal], else [snapshot ^ ".journal"] when a snapshot is set. *)
+
+(** {1 Control ops}
+
+    One table answers the protocol's control ops for both topologies: a
+    serve connection thread and the [fq fleet] parent's select loop each
+    supply a handler record, and {!answer} reads a line through the
+    shared bounded {!reader}, parses it, and replies. *)
+
+type control = {
+  health : unit -> (string * Fq_core.Json.t) list;  (** reply fields *)
+  metrics : unit -> (string * Fq_core.Json.t) list;
+  traces : int option -> (string * Fq_core.Json.t) list;  (** newest [limit] *)
+  topology : unit -> bool * Protocol.worker_info list;  (** [fleet-status] *)
+  reload : string option -> ((string * Fq_core.Json.t) list, string) result;
+      (** [None]: the configured state file; an [Error] is answered
+          [malformed] with a ["reload: "] prefix *)
+  save : unit -> (int, string) result;  (** [snapshot]: entries written *)
+  shutdown : unit -> unit;  (** called after the [draining] ack is sent *)
+  evaluate : Protocol.request -> Fq_core.Json.t option;
+      (** eval and explain: serve admits them and answers later
+          ([None]); the fleet parent refuses them *)
+  count : string -> unit;
+      (** tallies each answered op by name, and ["malformed"] for a line
+          that is oversized or does not parse *)
+}
+
+type reader
+(** A bounded line reader over a socket: a line longer than
+    [max_bytes] is drained, not buffered, and answered as oversized. *)
+
+val reader : max_bytes:int -> Unix.file_descr -> reader
+
+val buffered : reader -> bool
+(** Read bytes wait to be consumed: {!answer} may find a line without
+    reading. *)
+
+val answer :
+  control ->
+  reader ->
+  refills:int ->
+  send:(Fq_core.Json.t -> unit) ->
+  [ `Answered | `Pending | `Eof ]
+(** Read one line, making at most [refills] read(2) calls ([0] takes
+    only a line already {!buffered}), and answer it through [send].
+    [`Pending]: no complete line yet. *)
+
+(** {1 Boot helpers} shared with the fleet parent *)
+
+val sockaddr : addr -> Unix.sockaddr
+
+val bind_socket : addr -> (Unix.file_descr, string) result
+(** Listen on [addr], replacing a stale unix socket file. *)
+
+val unbind : addr -> Unix.file_descr -> unit
+(** Close the listener and remove its unix socket file. *)
+
+type signals = { term : bool Atomic.t; hup : bool Atomic.t; usr1 : bool Atomic.t }
+
+val trap_signals : unit -> signals
+(** Ignore SIGPIPE; SIGTERM / SIGHUP / SIGUSR1 raise flags the caller's
+    loop polls (drain / reload / write the snapshot). *)
+
+val load_state_file :
+  string option -> configured:string option -> (string * Fq_db.State.t, string) result
+(** Parse the state file a [reload] names, else the [configured] one. *)
+
+val load_snapshot : Fq_domain.Decide_cache.t -> config -> (int option, string) result
+(** Verdicts loaded from [snapshot]; [None] when there is no file. *)
+
+val replay_journal :
+  ?truncate:bool -> Fq_domain.Decide_cache.t -> string -> (Journal.recovery, string) result
+(** {!Journal.recover} into a decide cache; [applied] counts restored
+    verdicts and [skipped] also counts records that are not entries. *)
+
 val run : config -> (int, string) result
 (** Boot and serve until a [shutdown] request or SIGTERM (both take the
     same graceful drain: stop admitting, answer every admitted request,

@@ -109,7 +109,10 @@ let test_nat_order_vs_presburger () =
       "exists x. x != 0 /\\ forall y. y != 0 -> x <= y";
       "forall x. exists y z. x < y /\\ y < z";
       "exists x y. x != y /\\ x < 2 /\\ y < 2";
-      "exists x y z. x != y /\\ y != z /\\ x != z /\\ z < 2 /\\ x < 2 /\\ y < 2" ]
+      "exists x y z. x != y /\\ y != z /\\ x != z /\\ z < 2 /\\ x < 2 /\\ y < 2";
+      (* the elimination writes a negative offset as [v + -k] and must
+         read it back *)
+      "exists z. forall x. exists y. ~(y = 2 /\\ (y < x \\/ z = y))" ]
   in
   List.iter
     (fun s ->

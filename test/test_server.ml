@@ -1050,14 +1050,13 @@ module Fleet = Fq_server.Fleet
    Unix-socket fleets derive worker addresses as ADDR.i next to the
    control socket. *)
 let fleet_config ?(workers = 2) ?snapshot addr =
-  let base = Fleet.default_config ~state:served_state addr in
-  { base with
+  let serve = Server.default_config ~state:served_state addr in
+  { (Fleet.default_config { serve with Server.jobs = 2; snapshot; log = ignore }) with
     Fleet.workers;
     base_backoff_ms = 50;
     max_backoff_ms = 400;
     probe_interval_ms = 200;
-    probe_timeout_ms = 500;
-    serve = { base.Fleet.serve with Server.jobs = 2; snapshot; log = ignore } }
+    probe_timeout_ms = 500 }
 
 let with_fleet cfg k =
   let result = ref (Error "fleet never returned") in
@@ -1217,6 +1216,68 @@ let test_fleet_rolling_reload () =
     ws;
   Sys.remove v2
 
+(* A control connection held open and pinged every 300 ms must not stall
+   supervision: a kill -9'd worker is reaped and respawned while it is
+   open, observed over that same connection. *)
+let test_fleet_held_control_conn () =
+  let addr = fresh_addr () in
+  with_fleet (fleet_config addr) @@ fun _ctl ->
+  let c =
+    match Client.connect ~retries:200 ~delay_ms:25 ~timeout_ms:5_000 addr with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "connect: %s" e
+  in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let status () =
+    (match Client.request c (Protocol.Ping { id = "p" }) with
+    | Ok ("p", Protocol.R_ok _) -> ()
+    | Ok _ -> Alcotest.fail "ping: expected ok"
+    | Error e -> Alcotest.failf "ping: %s" e);
+    match Client.request c (Protocol.Fleet_status { id = "fs" }) with
+    | Ok (_, Protocol.R_ok j) -> (
+      match Protocol.fleet_status_of_json j with
+      | Ok (_, ws) -> ws
+      | Error e -> Alcotest.failf "fleet-status parse: %s" e)
+    | Ok _ -> Alcotest.fail "fleet-status: expected ok"
+    | Error e -> Alcotest.failf "fleet-status: %s" e
+  in
+  let victim = List.hd (status ()) in
+  (match victim.Protocol.pid with
+  | Some pid -> Unix.kill pid Sys.sigkill
+  | None -> Alcotest.fail "live worker reports no pid");
+  let deadline = Unix.gettimeofday () +. 2. in
+  let rec wait_restart () =
+    Unix.sleepf 0.3;
+    let ws = status () in
+    let v = List.find (fun w -> w.Protocol.worker = victim.Protocol.worker) ws in
+    if v.Protocol.restarts >= 1 && List.for_all (fun w -> w.Protocol.up) ws then ()
+    else if Unix.gettimeofday () > deadline then
+      Alcotest.failf "no restart within 2s while the control connection was held (restarts %d)"
+        v.Protocol.restarts
+    else wait_restart ()
+  in
+  wait_restart ()
+
+(* The control socket applies the serve line bound: a 2 MiB ping is
+   answered as oversize (never echoed back), and the connection goes on
+   to answer a normal ping. *)
+let test_fleet_control_oversize_line () =
+  let addr = fresh_addr () in
+  with_fleet (fleet_config addr) @@ fun _ctl ->
+  match Client.connect ~retries:200 ~delay_ms:25 ~timeout_ms:5_000 addr with
+  | Error e -> Alcotest.failf "connect: %s" e
+  | Ok c ->
+    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    (match Client.request c (Protocol.Ping { id = String.make (2 lsl 20) 'x' }) with
+    | Ok ("", Protocol.R_malformed reason) ->
+      Alcotest.(check string) "names the bound" "protocol: line exceeds 1048576 bytes" reason
+    | Ok _ -> Alcotest.fail "expected the line-exceeds reply"
+    | Error e -> Alcotest.failf "oversize ping: %s" e);
+    match Client.request c (Protocol.Ping { id = "p" }) with
+    | Ok ("p", Protocol.R_ok _) -> ()
+    | Ok _ -> Alcotest.fail "ping after oversize: expected ok"
+    | Error e -> Alcotest.failf "ping after oversize: %s" e
+
 (* Fleet chaos properties: ride the QCHECK_SEED matrix — the seed picks
    the victim worker and the fault sites armed in the supervisor. *)
 let prop_fleet_kill9 =
@@ -1276,6 +1337,10 @@ let () =
             test_fleet_boot_and_serve;
           Alcotest.test_case "rolling reload serves throughout" `Quick
             test_fleet_rolling_reload;
+          Alcotest.test_case "held control connection does not stall supervision" `Quick
+            test_fleet_held_control_conn;
+          Alcotest.test_case "control socket bounds its lines" `Quick
+            test_fleet_control_oversize_line;
           qt prop_fleet_kill9;
           qt prop_fleet_spawn_faults ] );
       ( "daemon",

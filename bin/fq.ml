@@ -1271,8 +1271,8 @@ let serve_opts =
   let jobs =
     Arg.(value & opt int 4
          & info [ "j"; "jobs" ]
-             ~doc:"Worker domains evaluating admitted requests (OCaml 5 domain pool), per \
-                   server process.")
+             ~doc:"Worker seats evaluating admitted requests, per server process \
+                   (domains on several CPUs, threads on one).")
   in
   let max_inflight =
     Arg.(value & opt int 256

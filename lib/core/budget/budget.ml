@@ -15,23 +15,34 @@ type t = {
   shared : bool; (* eligible to become the ambient budget under [guard] *)
   started : float;
   mutable spent : int;
+  mutable yield_at : float; (* next slow check that offers the runtime lock *)
 }
 
 let never_cancelled () = false
 
 let now () = Unix.gettimeofday ()
 
-(* Per-domain tick clock: every budget advances it alongside its own
-   [spent].  The telemetry layer reads it at span boundaries to attribute
-   fuel to the innermost open span, whichever budget (explicit, ambient, or
-   legacy [~share:false]) was charged.  The clock is domain-local
-   ([Domain.DLS]) rather than a process-global ref: the supervised batch
-   runner evaluates queries on a pool of OCaml 5 domains, and a shared
-   counter would both race (lost increments) and corrupt every worker's
-   span attribution with the other workers' ticks. *)
-let ticks_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+(* Tick clock: every budget advances it alongside its own [spent].  The
+   telemetry layer reads it at span boundaries to attribute fuel to the
+   innermost open span, whichever budget (explicit, ambient, or legacy
+   [~share:false]) was charged.  The clock is thread-local and runs only
+   inside [with_tick_clock]: the supervised batch runner evaluates on a
+   pool of domains and [fq serve] on worker seats that may be threads of
+   one domain, and a shared counter would charge every worker's spans
+   with the other workers' ticks. *)
+let clock : int ref option Thread_local.key = Thread_local.new_key None
 
-let global_ticks () = !(Domain.DLS.get ticks_key)
+let global_ticks () = match Thread_local.get clock with Some r -> !r | None -> 0
+
+let advance_clock n = match Thread_local.get clock with Some r -> r := !r + n | None -> ()
+
+let with_tick_clock f =
+  match Thread_local.get clock with
+  | Some _ -> f ()
+  | None -> Thread_local.with_value clock (Some (ref 0)) f
+
+(* How often a busy evaluation offers the runtime lock; see [slow_check]. *)
+let yield_interval = 0.001
 
 let make ?fuel ?timeout_ms ?max_result ?cancel () =
   let started = now () in
@@ -46,6 +57,7 @@ let make ?fuel ?timeout_ms ?max_result ?cancel () =
     shared = true;
     started;
     spent = 0;
+    yield_at = started +. yield_interval;
   }
 
 let unlimited () = make ()
@@ -60,14 +72,25 @@ let with_deadline ~timeout_ms = make ~timeout_ms ()
    a gettimeofday per checkpoint would dominate tight QE loops. *)
 let slow_mask = 255
 
+(* A slow check is also the evaluation's scheduling point: once the
+   evaluation has run for [yield_interval], and at most that often, it
+   offers the runtime lock to the other threads of its domain (a no-op
+   when none waits).  OCaml switches threads on its own only every
+   50 ms, which on [fq serve]'s thread seats would hold control ops, the
+   watchdog and the other seats that long behind one busy evaluation. *)
 let slow_check b =
   if b.cancelled () then raise (Exhausted Cancelled);
-  if now () > b.deadline then raise (Exhausted Deadline_exceeded)
+  let t = now () in
+  if t > b.deadline then raise (Exhausted Deadline_exceeded);
+  if t >= b.yield_at then begin
+    b.yield_at <- t +. yield_interval;
+    Thread.yield ()
+  end
 
 let tick b =
   let n = b.spent + 1 in
   b.spent <- n;
-  incr (Domain.DLS.get ticks_key);
+  advance_clock 1;
   if n > b.fuel_limit then raise (Exhausted Fuel_exhausted);
   if n land slow_mask = 0 && (b.deadline < infinity || b.cancelled != never_cancelled)
   then slow_check b
@@ -75,8 +98,7 @@ let tick b =
 let charge b n =
   if n > 0 then begin
     b.spent <- b.spent + n;
-    let t = Domain.DLS.get ticks_key in
-    t := !t + n;
+    advance_clock n;
     if b.spent > b.fuel_limit then raise (Exhausted Fuel_exhausted);
     if b.deadline < infinity || b.cancelled != never_cancelled then slow_check b
   end
@@ -95,30 +117,26 @@ let unsupported msg = raise (Exhausted (Unsupported msg))
 
 (* Ambient (dynamically-scoped) budget, so decision procedures behind the
    fixed [Domain.S.decide] signature can still checkpoint.  The slot is
-   domain-local: with a process-global ref, a [guard] in one worker domain
-   of the batch pool would install its budget into every other worker's
-   decision procedures (and the save/restore discipline would reinstate a
-   foreign budget on exit). *)
-let current_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+   thread-local: with a shared slot, a [guard] in one worker would install
+   its budget into every other worker's decision procedures (and the
+   save/restore discipline would reinstate a foreign budget on exit). *)
+let current : t option Thread_local.key = Thread_local.new_key None
 
-let ambient () = Domain.DLS.get current_key
+let ambient () = Thread_local.get current
 
 let tick_ambient () =
-  match Domain.DLS.get current_key with
+  match Thread_local.get current with
   | None -> ()
   | Some b -> tick b
 
 let charge_ambient n =
-  match Domain.DLS.get current_key with
+  match Thread_local.get current with
   | None -> ()
   | Some b -> charge b n
 
 let guard b f =
-  let saved = Domain.DLS.get current_key in
-  if b.shared then Domain.DLS.set current_key (Some b);
-  Fun.protect
-    ~finally:(fun () -> Domain.DLS.set current_key saved)
-    (fun () -> match f () with v -> Ok v | exception Exhausted fl -> Error fl)
+  let run () = match f () with v -> Ok v | exception Exhausted fl -> Error fl in
+  if b.shared then Thread_local.with_value current (Some b) run else run ()
 
 let pp_failure ppf = function
   | Fuel_exhausted -> Format.pp_print_string ppf "fuel exhausted"

@@ -79,9 +79,10 @@ val unsupported : string -> 'a
     [Fq_domain.Domain.S.decide] signature, which cannot carry a budget
     argument.  [guard] therefore installs its budget in a dynamically-scoped
     slot that the QE inner loops poll with {!tick_ambient}; the slot is
-    restored on exit, so nesting is safe.  The slot is domain-local
-    ([Domain.DLS]), so concurrent workers of a {!Supervisor} pool cannot
-    observe (or charge) each other's budgets. *)
+    restored on exit, so nesting is safe.  The slot is thread-local
+    ({!Thread_local}), so concurrent workers — domains of a {!Supervisor}
+    pool or threads of one domain — cannot observe (or charge) each
+    other's budgets. *)
 
 val tick_ambient : unit -> unit
 (** {!tick} against the ambient budget; no-op when none is installed. *)
@@ -122,9 +123,13 @@ val usage : t -> usage
 val spent : t -> int
 
 val global_ticks : unit -> int
-(** Monotone {e domain-local} count of work units charged across every
-    budget this domain has ticked since it started.  {!Telemetry} samples
-    it at span open and close, so fuel is attributed to the innermost open
-    span no matter which budget was charged.  Like the ambient slot, the
-    clock lives in [Domain.DLS]: each worker of a parallel batch attributes
-    only its own work. *)
+(** Monotone {e thread-local} count of work units charged across every
+    budget this thread has ticked inside the enclosing {!with_tick_clock};
+    [0] outside one.  {!Telemetry} samples it at span open and close, so
+    fuel is attributed to the innermost open span no matter which budget
+    was charged, and each concurrent worker attributes only its own
+    work. *)
+
+val with_tick_clock : (unit -> 'a) -> 'a
+(** Run the thunk with the calling thread's tick clock running (a nested
+    call keeps the running clock).  {!Telemetry.record} opens one. *)

@@ -54,17 +54,14 @@ let decide_action p site n =
   in
   go p.rules
 
-let active_key : plan option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let active_key : plan option Thread_local.key = Thread_local.new_key None
 
-let enabled () = Option.is_some (Domain.DLS.get active_key)
+let enabled () = Option.is_some (Thread_local.get active_key)
 
-let with_plan p f =
-  let saved = Domain.DLS.get active_key in
-  Domain.DLS.set active_key (Some p);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set active_key saved) f
+let with_plan p f = Thread_local.with_value active_key (Some p) f
 
 let hit site =
-  match Domain.DLS.get active_key with
+  match Thread_local.get active_key with
   | None -> ()
   | Some p -> (
     Mutex.lock p.lock;

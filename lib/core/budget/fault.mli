@@ -44,9 +44,9 @@
       probe timeout; enough consecutive failures convict the worker).
 
     When no plan is installed (the production configuration) a site costs
-    one domain-local read and a branch — the same class of overhead as a
-    disabled telemetry counter.  The ambient plan is domain-local
-    ([Domain.DLS]); a plan shared between worker domains is internally
+    one thread-local read and a branch — the same class of overhead as a
+    disabled telemetry counter.  The ambient plan is thread-local
+    ({!Thread_local}); a plan shared between workers is internally
     locked, so concurrent hits are safe (though their interleaving, and
     hence the per-site hit numbering, is then scheduler-dependent — for
     reproducibility give each worker its own seeded plan). *)
@@ -96,7 +96,7 @@ val chaos :
     [permille = 20], and an action mix of one of each kind. *)
 
 val with_plan : plan -> (unit -> 'a) -> 'a
-(** Install the plan as this domain's ambient fault schedule for the
+(** Install the plan as this thread's ambient fault schedule for the
     duration of the thunk (save/restore, nesting-safe).  The same plan
     may be re-installed across attempts or shared between domains; its
     counters persist. *)

@@ -23,7 +23,7 @@
       is allowed through (half-open);
     - {!parallel_map} — a bounded pool of OCaml 5 domains.  Safe because
       every ambient slot this library maintains (budget, telemetry
-      collector, fault plan, tick clock) is domain-local. *)
+      collector, fault plan, tick clock) is thread-local. *)
 
 type crash = { transient : bool; reason : string }
 (** A contained escape.  [transient] escapes are retried while attempts

@@ -39,7 +39,7 @@ type frame = {
    decide-cache LRU: an adversarial query stream minting fresh
    per-fingerprint names ([relalg.node_card.<fp>]) can no longer grow the
    key space without bound — past [max_histos] the coldest cell is
-   evicted and tallied.  A collector is domain-local single-threaded
+   evicted and tallied.  A collector is thread-local single-threaded
    state, so unlike the decide cache no lock is needed. *)
 type hcell = {
   h_key : string;
@@ -73,14 +73,15 @@ type collector = {
   mutable h_evicted : int;
 }
 
-(* Exactly one collector is ambient at a time per domain; [record] and
+(* Exactly one collector is ambient at a time per thread; [record] and
    [with_noop] nest by save/restore, like the ambient budget.  The slot is
-   domain-local ([Domain.DLS]): a collector is single-threaded mutable
-   state, so each worker of a parallel batch records (or stays silent)
-   independently instead of racing on one frame stack. *)
-let active_key : collector option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+   thread-local: a collector is single-threaded mutable state, so each
+   concurrent worker (a domain of a parallel batch, a worker seat of
+   [fq serve]) records (or stays silent) independently instead of racing
+   on one frame stack. *)
+let active_key : collector option Thread_local.key = Thread_local.new_key None
 
-let active () = Domain.DLS.get active_key
+let active () = Thread_local.get active_key
 
 let enabled () = Option.is_some (active ())
 
@@ -225,10 +226,7 @@ let make_collector ?(max_histos = 1024) mode max_spans =
     h_tail = None;
     h_evicted = 0 }
 
-let run_with c f =
-  let saved = active () in
-  Domain.DLS.set active_key (Some c);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set active_key saved) f
+let run_with c f = Thread_local.with_value active_key (Some c) f
 
 let snapshot c =
   let sorted_assoc fold project tbl =
@@ -247,7 +245,7 @@ let snapshot c =
 
 let record ?(max_spans = 20_000) ?max_histos f =
   let c = make_collector ?max_histos Record max_spans in
-  let v = run_with c f in
+  let v = Budget.with_tick_clock (fun () -> run_with c f) in
   (v, snapshot c)
 
 let with_noop f = run_with (make_collector Noop 0) f

@@ -8,17 +8,19 @@
     ({!observe}), recorded only while a collector is installed.
 
     {b Hot-path contract.}  Every instrumentation entry point first reads
-    one [ref]; when telemetry is off (the default) that single branch is the
-    entire cost, so engines instrument their inner loops freely.  The bench
+    one thread-local slot ({!Thread_local.get}); when telemetry is off
+    (the default) that read and one branch are the entire cost, so
+    engines instrument their inner loops freely.  The bench
     ablation ([dune exec bench/main.exe -- json-pr4]) pins the overhead of
     the disabled path and of the no-op sink below 2%.
 
     {b Budget attribution.}  Spans read {!Budget.global_ticks} — the
-    process-wide tick clock every budget advances — at open and close, so a
-    span's [ticks] is exactly the fuel charged while it was open and
-    [self_ticks] is the part no child span accounts for.  Fuel is thereby
-    charged to the {e innermost open span}: a trace shows which QE loop or
-    algebra node spent the budget. *)
+    thread's tick clock every budget advances, running while {!record}
+    is — at open and close, so a span's [ticks] is exactly the fuel
+    charged while it was open and [self_ticks] is the part no child span
+    accounts for.  Fuel is thereby charged to the {e innermost open
+    span}: a trace shows which QE loop or algebra node spent the
+    budget. *)
 
 type value = Int of int | Float of float | Bool of bool | Str of string
 

@@ -4,8 +4,8 @@
    accepts connections; each connection gets a reader thread (cheap,
    blocking I/O) that parses request lines, answers control ops inline,
    and admits eval/explain work into a bounded queue; a fixed pool of
-   OCaml 5 worker domains drains the queue, evaluates under per-request
-   budgets, and writes each response back under the connection's write
+   worker seats drains the queue, evaluates under per-request budgets,
+   and writes each response back under the connection's write
    lock (pipelined responses interleave in completion order, correlated
    by id).  Admission over the global or per-connection cap is answered
    immediately with a structured reject carrying resume evidence — the
@@ -23,7 +23,8 @@
    (deadline-aware shedding against an EMA queue-wait estimate, brownout
    fuel reduction under sustained queue pressure) and behind it (a
    watchdog that cancels and, past a grace period, recycles a worker
-   domain wedged beyond its request deadline). *)
+   seat wedged beyond its request deadline).  A seat is a domain on
+   several CPUs and a thread of the main domain on one ([spawn_seat]). *)
 
 module Budget = Fq_core.Budget
 module Telemetry = Fq_core.Telemetry
@@ -154,8 +155,8 @@ let journal_path cfg =
      per-tier request metrics, rendered to the versioned Prometheus text
      exposition.
 
-   The per-request Telemetry.record collectors are domain-local; this
-   registry is the cross-domain rendezvous behind the metrics op.  Every
+   The per-request Telemetry.record collectors are thread-local; this
+   registry is the cross-worker rendezvous behind the metrics op.  Every
    key space is bounded: engine names past [reg_key_cap] are dropped and
    tallied, labeled families past the cap fold into an
    [{overflow="true"}] sample, so adversarial label streams degrade to a
@@ -303,6 +304,7 @@ let family_help = function
   | "fq_client_requests_total" -> "Eval requests by client connection."
   | "fq_request_latency_ms" -> "Eval wall-clock latency, by domain and epoch."
   | "fq_request_fuel_ticks" -> "Eval fuel spent, by domain and epoch."
+  | "fq_request_stage_ms" -> "Per-request stage wall-clock time, by stage."
   | _ -> "Service metric."
 
 let registry_families reg =
@@ -382,16 +384,18 @@ type job = {
   j_epoch : epoch;
   j_brownout : bool;  (* admitted under queue pressure: shrink its fuel *)
   j_cancel : bool Atomic.t;  (* set by the watchdog past the deadline *)
+  j_admitted : float;  (* ms timestamp; the queue stage starts here *)
   mutable j_done : bool;  (* guarded by the server lock; see complete_job *)
 }
 
-(* One worker domain's seat.  The generation number lets the watchdog
-   disown a wedged domain: it bumps [s_gen], hands the seat to a freshly
-   spawned domain, and the zombie — if it ever returns — sees the
-   mismatch and exits without touching the seat. *)
+(* One worker seat, run by a domain or a thread (see [spawn_seat]).  The
+   generation number lets the watchdog disown a wedged seat: it bumps
+   [s_gen], hands the seat to a freshly spawned worker, and the zombie —
+   if it ever returns — sees the mismatch and exits without touching the
+   seat. *)
 type slot = {
   s_idx : int;
-  mutable s_dom : unit Stdlib.Domain.t option;  (* guarded by the server lock *)
+  mutable s_join : unit -> unit;  (* waits for the seat's worker; guarded by the server lock *)
   mutable s_gen : int;  (* guarded by the server lock *)
   mutable s_job : job option;  (* guarded by the server lock *)
   mutable s_deadline : float;  (* ms timestamp; 0. = no deadline *)
@@ -410,6 +414,7 @@ type t = {
   mutable state_path : string option;  (* source for pathless reload/SIGHUP *)
   mutable ema_ms : float;  (* EMA of request latency; 0. until first sample *)
   slots : slot array;
+  seat_domains : bool;  (* seats are domains, not main-domain threads *)
   jlock : Mutex.t;  (* guards journal handle + append/reset sequencing *)
   mutable journal : Journal.t option;  (* guarded by jlock *)
   japps : int Atomic.t;  (* appends since the last compaction *)
@@ -465,7 +470,7 @@ let send srv conn json =
 
 (* ------------------------------ journal ----------------------------- *)
 
-(* Called from the decide-cache insert hook, i.e. on a worker domain
+(* Called from the decide-cache insert hook, i.e. on a worker seat
    with the cache lock already released.  Errors are counted and the
    record dropped — persistence degrades, serving does not. *)
 let journal_record srv key value =
@@ -859,20 +864,26 @@ let dump_metrics_file srv =
        Sys.rename tmp path
      with Sys_error _ -> reg_count srv.reg "serve.metrics_file_errors")
 
+(* The queue-wait estimate behind deadline-aware shedding and health:
+   queue depth x EMA latency / workers — crude but self-correcting, and
+   0 until the first completion. *)
+let estimated_wait_ms srv =
+  (* srv.lock held *)
+  float_of_int (Queue.length srv.queue) *. srv.ema_ms /. float_of_int (max 1 srv.cfg.jobs)
+
 (* The one-line triage view: is the server keeping up, which breakers
    are open, which epoch is live, is persistence healthy. *)
 let health_fields srv =
-  let depth, inflight, epoch, ema, breakers =
+  let depth, inflight, epoch, est_wait, breakers =
     Mutex.protect srv.lock (fun () ->
         ( Queue.length srv.queue,
           srv.inflight,
           srv.current.ep_id,
-          srv.ema_ms,
+          estimated_wait_ms srv,
           Hashtbl.fold
             (fun name b acc -> (name, Supervisor.Breaker.state b) :: acc)
             srv.current.ep_breakers [] ))
   in
-  let est_wait = float_of_int depth *. ema /. float_of_int (max 1 srv.cfg.jobs) in
   let state_str = function
     | Supervisor.Breaker.Closed -> "closed"
     | Supervisor.Breaker.Open -> "open"
@@ -888,7 +899,8 @@ let health_fields srv =
     ("brownout", Json.Bool (depth >= srv.cfg.brownout_queue));
     ("est_wait_ms", Json.Int (int_of_float est_wait));
     ("breakers", Json.Obj breakers);
-    ("journal_records", Json.Int (Atomic.get srv.japps)) ]
+    ("journal_records", Json.Int (Atomic.get srv.japps));
+    ("worker_domains", Json.Int (if srv.seat_domains then Array.length srv.slots else 0)) ]
 
 (* ------------------------------ snapshots --------------------------- *)
 
@@ -977,12 +989,7 @@ let reject_resume ~resume ~formula =
 (* Deadline-aware shedding: when the queue is long enough that this
    request would blow its own deadline just waiting, reject now with an
    honest retry hint instead of admitting work we already know we will
-   abandon.  The estimate is queue depth x EMA latency / workers — crude
-   but self-correcting, and 0 until the first completion. *)
-let estimated_wait_ms srv =
-  (* srv.lock held *)
-  float_of_int (Queue.length srv.queue) *. srv.ema_ms /. float_of_int (max 1 srv.cfg.jobs)
-
+   abandon. *)
 let admit srv conn req =
   let deadline_ms =
     match req with
@@ -1015,6 +1022,7 @@ let admit srv conn req =
                 j_epoch = srv.current;
                 j_brownout = Queue.length srv.queue >= srv.cfg.brownout_queue;
                 j_cancel = Atomic.make false;
+                j_admitted = now_ms ();
                 j_done = false }
             in
             srv.inflight <- srv.inflight + 1;
@@ -1102,6 +1110,7 @@ let rec worker srv slot gen =
       slot.s_deadline <- (match job.j_req with Protocol.Eval _ -> deadline | _ -> 0.)
     end;
     Mutex.unlock srv.lock;
+    reg_lobserve srv.reg "fq_request_stage_ms" [ ("stage", "queue") ] (started -. job.j_admitted);
     let response = handle srv job in
     let elapsed = now_ms () -. started in
     let _first : bool = complete_job srv job response in
@@ -1119,17 +1128,37 @@ let rec worker srv slot gen =
     if keep_seat then worker srv slot gen
   end
 
+(* Start a worker on [slot] at generation [gen] and record how to wait
+   for it.  [seat_domains] is fixed at boot from the CPUs the process may
+   run on, so every seat of one server is the same kind.  On one CPU the
+   seats are threads: a minor collection stops every domain, and there it
+   would wait until the scheduler had run each domain, idle ones
+   included.  Thread seats share the main domain's [Domain.DLS], which is
+   why the per-request ambient state (budget, tick clock, collector,
+   fault plan) lives in [Fq_core.Thread_local] instead. *)
+let spawn_seat srv slot gen =
+  let run () = worker srv slot gen in
+  let join =
+    if srv.seat_domains then
+      let d = Stdlib.Domain.spawn run in
+      fun () -> Stdlib.Domain.join d
+    else
+      let t = Thread.create run () in
+      fun () -> Thread.join t
+  in
+  Mutex.protect srv.lock (fun () -> slot.s_join <- join)
+
 (* ------------------------------ watchdog ---------------------------- *)
 
 (* Two-stage escalation, driven from the accept loop's 0.2s tick.  Past
    the request deadline: set the job's cancel flag — the budget polls it
    every 256 ticks, so a cooperating evaluation unwinds into an ordinary
    Partial/Failed within microseconds.  Past deadline + grace: the
-   domain is wedged somewhere that never ticks (a pathological decide, a
+   worker is wedged somewhere that never ticks (a pathological decide, a
    stuck syscall) — answer the victim with a classified error ourselves,
-   disown the seat, and spawn a fresh domain so pool capacity does not
-   leak.  The zombie domain is never joined; if it ever wakes it finds
-   its job completed and its seat re-generationed, and exits. *)
+   disown the seat, and spawn a fresh worker so pool capacity does not
+   leak.  The zombie is never joined; if it ever wakes it finds its job
+   completed and its seat re-generationed, and exits. *)
 let scan_watchdog srv =
   let nw = now_ms () in
   let victims =
@@ -1170,8 +1199,7 @@ let scan_watchdog srv =
       in
       let _first : bool = complete_job srv job response in
       logf srv.cfg "watchdog recycled worker %d (request %S overran)" slot.s_idx id;
-      let dom = Stdlib.Domain.spawn (fun () -> worker srv slot gen) in
-      Mutex.protect srv.lock (fun () -> slot.s_dom <- Some dom))
+      spawn_seat srv slot gen)
     victims
 
 (* ------------------------------ connections ------------------------- *)
@@ -1424,7 +1452,8 @@ let run_bound cfg =
       ema_ms = 0.;
       slots =
         Array.init (max 1 cfg.jobs) (fun i ->
-            { s_idx = i; s_dom = None; s_gen = 0; s_job = None; s_deadline = 0. });
+            { s_idx = i; s_join = ignore; s_gen = 0; s_job = None; s_deadline = 0. });
+      seat_domains = Stdlib.Domain.recommended_domain_count () > 1;
       jlock = Mutex.create ();
       journal = None;
       japps = Atomic.make 0;
@@ -1463,9 +1492,7 @@ let run_bound cfg =
   | None -> ());
   logf cfg "listening on %s (%d workers, %d in-flight cap)" (addr_to_string cfg.addr) cfg.jobs
     cfg.max_inflight;
-  Array.iter
-    (fun slot -> slot.s_dom <- Some (Stdlib.Domain.spawn (fun () -> worker srv slot slot.s_gen)))
-    srv.slots;
+  Array.iter (fun slot -> spawn_seat srv slot slot.s_gen) srv.slots;
   let conns = ref [] in
   let next_conn = ref 0 in
   let stopping () = Mutex.protect srv.lock (fun () -> srv.stopping) in
@@ -1528,12 +1555,7 @@ let run_bound cfg =
     end
   in
   drain ();
-  Array.iter
-    (fun slot ->
-      match Mutex.protect srv.lock (fun () -> slot.s_dom) with
-      | Some d -> Stdlib.Domain.join d
-      | None -> ())
-    srv.slots;
+  Array.iter (fun slot -> (Mutex.protect srv.lock (fun () -> slot.s_join)) ()) srv.slots;
   save_snapshot_logged srv ~why:"shutdown";
   dump_metrics_file srv;
   (Mutex.lock srv.jlock;

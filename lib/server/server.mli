@@ -73,7 +73,9 @@ val addr_of_string : string -> (addr, string) result
 
 type config = {
   addr : addr;
-  jobs : int;  (** worker domains evaluating admitted requests *)
+  jobs : int;
+      (** worker seats evaluating admitted requests (domains on several
+          CPUs, threads of the main domain on one) *)
   max_inflight : int;  (** server-wide admission cap (bounded queue) *)
   client_share : int;  (** per-connection in-flight cap (fair share) *)
   default_fuel : int;  (** fuel when the request names none *)
@@ -99,7 +101,7 @@ type config = {
   brownout_fuel_divisor : int;  (** fuel shrink factor under brownout *)
   watchdog_grace_ms : int;
       (** extra time past a request's deadline before the watchdog
-          force-answers it and recycles the worker domain *)
+          force-answers it and recycles the worker seat *)
   trace_sample : int;
       (** head-based trace sampling: record 1 in [trace_sample] eval
           requests into the trace ring ([0] = off) *)

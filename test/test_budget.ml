@@ -9,6 +9,8 @@
    structured account of why it stopped". *)
 
 module Budget = Fq_core.Budget
+module Telemetry = Fq_core.Telemetry
+module Fault = Fq_core.Fault
 module Formula = Fq_logic.Formula
 module Relation = Fq_db.Relation
 module Value = Fq_db.Value
@@ -133,6 +135,72 @@ let test_ambient_scoping () =
         Alcotest.(check bool) "legacy budget not ambient" true (Budget.ambient () = None))
   in
   Alcotest.(check (result unit failure)) "legacy guard fine" (Ok ()) r
+
+(* Threads of one domain share [Domain.DLS], yet each must see only the
+   budget, collector and fault plan it installed itself: [fq serve] runs
+   its worker seats as threads of one domain on one CPU, and a seat can
+   be switched out mid-evaluation.  A baton forces the interleaving in
+   which a shared slot goes wrong: A installs its state, B installs its
+   own over it, A works and leaves, then B works and leaves. *)
+let test_ambient_per_thread () =
+  let m = Mutex.create () and cv = Condition.create () and turn = ref 0 in
+  let await n = Mutex.protect m (fun () -> while !turn <> n do Condition.wait cv m done) in
+  let pass n = Mutex.protect m (fun () -> turn := n; Condition.broadcast cv) in
+  let installed b = match Budget.ambient () with Some x -> x == b | None -> false in
+  let ba = Budget.make ~fuel:3 () and bb = Budget.make ~fuel:1_000 () in
+  let a_own = ref false in
+  let run_a () =
+    let r, report =
+      Telemetry.record (fun () ->
+          Fault.with_plan (Fault.plan ~seed:0 ()) (fun () ->
+              Budget.guard ba (fun () ->
+                  Telemetry.with_span "a" (fun () ->
+                      pass 1;
+                      await 2;
+                      a_own := installed ba && Fault.enabled ();
+                      for _ = 1 to 10 do
+                        Budget.tick_ambient ()
+                      done))))
+    in
+    pass 3;
+    (r, report)
+  in
+  let run_b () =
+    await 1;
+    let r, report =
+      Telemetry.record (fun () ->
+          Budget.guard bb (fun () ->
+              Telemetry.with_span "b" (fun () ->
+                  pass 2;
+                  await 3;
+                  let own = installed bb && not (Fault.enabled ()) in
+                  for _ = 1 to 5 do
+                    Budget.tick_ambient ()
+                  done;
+                  own)))
+    in
+    (r, report)
+  in
+  let spawn f =
+    let out = ref None in
+    let t = Thread.create (fun () -> out := Some (f ())) () in
+    fun () -> Thread.join t; Option.get !out
+  in
+  let join_a = spawn run_a and join_b = spawn run_b in
+  let ra, rep_a = join_a () and rb, rep_b = join_b () in
+  let spans (r : Telemetry.report) =
+    List.map (fun (s : Telemetry.span) -> (s.Telemetry.name, s.Telemetry.ticks)) r.Telemetry.roots
+  in
+  Alcotest.(check bool) "A saw its own budget and plan" true !a_own;
+  Alcotest.(check (result unit failure)) "A tripped its own fuel" (Error Budget.Fuel_exhausted) ra;
+  Alcotest.(check int) "A charged only its own budget" 4 (Budget.spent ba);
+  Alcotest.(check (list (pair string int))) "A's collector holds A's span and ticks" [ ("a", 4) ]
+    (spans rep_a);
+  Alcotest.(check (result bool failure)) "B saw its own budget, and no plan" (Ok true) rb;
+  Alcotest.(check int) "B charged only its own budget" 5 (Budget.spent bb);
+  Alcotest.(check (list (pair string int))) "B's collector holds B's span and ticks" [ ("b", 5) ]
+    (spans rep_b);
+  Alcotest.(check bool) "main thread has no ambient budget" true (Budget.ambient () = None)
 
 let test_protect () =
   let b = Budget.of_fuel 3 in
@@ -443,6 +511,7 @@ let () =
           Alcotest.test_case "unlimited" `Quick test_unlimited;
           Alcotest.test_case "error-string round trip" `Quick test_error_string_roundtrip;
           Alcotest.test_case "ambient scoping" `Quick test_ambient_scoping;
+          Alcotest.test_case "ambient state is per thread" `Quick test_ambient_per_thread;
           Alcotest.test_case "protect" `Quick test_protect ] );
       ( "unsafe queries",
         [ Alcotest.test_case "always Partial, never hangs" `Quick test_unsafe_always_partial;

@@ -613,22 +613,32 @@ let test_serve_roundtrip () =
       (Outcome.status o)
   | Ok _ -> Alcotest.fail "bad eval: expected outcome"
   | Error e -> Alcotest.failf "bad eval: %s" e);
+  (* seats are domains exactly when the process may use several CPUs *)
+  (match Client.request c (Protocol.Health { id = "h" }) with
+  | Ok ("h", Protocol.R_ok j) ->
+    Alcotest.(check (option int)) "worker_domains"
+      (Some (if Domain.recommended_domain_count () > 1 then 2 else 0))
+      (Option.bind (Json.member "worker_domains" j) Json.to_int_opt)
+  | Ok _ -> Alcotest.fail "health: expected ok"
+  | Error e -> Alcotest.failf "health: %s" e);
   match Client.request c (Protocol.Metrics { id = "m" }) with
   | Ok ("m", Protocol.R_ok j) -> (
     match Option.bind (Json.member "exposition" j) Json.to_str_opt with
-    | Some text -> (
+    | Some text ->
       let samples = Fq_core.Aggregate.parse_exposition text in
-      match
+      let sample name labels =
         List.find_map
-          (fun (m, labels, v) ->
-            if m = "fq_engine_events_total" && labels = [ ("name", "serve.requests") ]
-            then Some v
-            else None)
+          (fun (m, l, v) -> if m = name && l = labels then Some v else None)
           samples
-      with
+      in
+      (match sample "fq_engine_events_total" [ ("name", "serve.requests") ] with
       | Some n when n >= 2. -> ()
       | Some n -> Alcotest.failf "metrics: serve.requests = %g" n
-      | None -> Alcotest.fail "metrics: no serve.requests sample in the exposition")
+      | None -> Alcotest.fail "metrics: no serve.requests sample in the exposition");
+      (match sample "fq_request_stage_ms_count" [ ("stage", "queue") ] with
+      | Some n when n >= 2. -> ()
+      | Some n -> Alcotest.failf "metrics: %g queue-stage observations" n
+      | None -> Alcotest.fail "metrics: no fq_request_stage_ms{stage=\"queue\"} family")
     | None -> Alcotest.fail "metrics: no exposition")
   | Ok _ -> Alcotest.fail "metrics: expected ok payload"
   | Error e -> Alcotest.failf "metrics: %s" e
@@ -850,6 +860,76 @@ let test_serve_watchdog () =
     Alcotest.(check int) "replacement worker answers" 1 (Relation.cardinal answer)
   | Ok _ -> Alcotest.fail "expected a complete answer after the recycle"
   | Error e -> Alcotest.failf "post-recycle eval: %s" e
+
+(* Each seat's evaluation must be governed by its own request's budget
+   alone, whether seats are domains or threads of one domain (run this
+   suite under [taskset -c 0] for the latter).  Two spin decides meet
+   before they start, then charge the ambient budget and sleep every ten
+   ticks, so they interleave; each checks on every tick that the ambient
+   budget is still the one its request installed.  One must then stop on
+   its own fuel, the other on its own deadline. *)
+let test_serve_budgets_per_seat () =
+  let arrived = Atomic.make 0 in
+  let spin =
+    Fq_domain.Domain.with_decide presburger (fun _ ->
+        let own = Budget.ambient () in
+        let give_up = Unix.gettimeofday () +. 10. in
+        Atomic.incr arrived;
+        while Atomic.get arrived < 2 && Unix.gettimeofday () < give_up do
+          Unix.sleepf 0.001
+        done;
+        let rec go n =
+          if Option.is_none own || Unix.gettimeofday () > give_up then
+            Error "spin: ran ungoverned"
+          else if not (Option.equal ( == ) (Budget.ambient ()) own) then
+            Error "spin: saw another request's budget"
+          else begin
+            Budget.tick_ambient ();
+            if n mod 10 = 0 then Unix.sleepf 0.0002;
+            go (n + 1)
+          end
+        in
+        go 1)
+  in
+  let cfg = { (base_config (fresh_addr ())) with extra_domains = [ ("spin", spin) ] } in
+  with_server cfg @@ fun _ ->
+  let ask id ~fuel ?timeout_ms formula () =
+    match Client.connect ~retries:20 ~delay_ms:25 cfg.Server.addr with
+    | Error e -> Error e
+    | Ok c ->
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      Client.request c
+        (Protocol.Eval
+           { id; domain = Some "spin"; formula; fuel = Some fuel; timeout_ms; resume = None;
+             trace = None })
+  in
+  let spawn f =
+    let out = ref (Error "no reply") in
+    let t = Thread.create (fun () -> out := f ()) () in
+    fun () -> Thread.join t; !out
+  in
+  let fuel = spawn (ask "fuel" ~fuel:2_000 "forall x. exists y. x < y") in
+  let deadline =
+    spawn (ask "deadline" ~fuel:1_000_000 ~timeout_ms:300 "exists x. forall y. y < x")
+  in
+  let stopped_by what id = function
+    | Ok (rid, Protocol.R_outcome o) when rid = id ->
+      (match o.Outcome.verdict with
+      | Outcome.Partial { reason; _ } ->
+        Alcotest.(check string) (id ^ ": stopped by") (Budget.error_string what)
+          (Budget.error_string reason)
+      | Outcome.Failed { reason } ->
+        Alcotest.(check string) (id ^ ": stopped by") (Budget.error_string what) reason
+      | Outcome.Complete _ -> Alcotest.failf "%s: completed" id);
+      o.Outcome.usage.Budget.ticks
+    | Ok _ -> Alcotest.failf "%s: expected an outcome" id
+    | Error e -> Alcotest.failf "%s: %s" id e
+  in
+  let fuel_ticks = stopped_by Budget.Fuel_exhausted "fuel" (fuel ()) in
+  let deadline_ticks = stopped_by Budget.Deadline_exceeded "deadline" (deadline ()) in
+  Alcotest.(check int) "fuel request charged only its own budget" 2_001 fuel_ticks;
+  Alcotest.(check bool) "deadline request stopped well short of its fuel" true
+    (deadline_ticks < 500_000)
 
 (* ------------------- snapshot save fault containment ----------------- *)
 
@@ -1330,8 +1410,9 @@ let () =
           qt prop_journal_chaos ] );
       (* the fleet group must run before any in-process daemon boots:
          OCaml 5 refuses Unix.fork once another domain has ever been
-         spawned, and Server.run creates its worker-domain pool in this
-         process — the fleet parent itself only forks and threads *)
+         spawned, and Server.run spawns its worker seats as domains in
+         this process when more than one CPU is available — the fleet
+         parent itself only forks and threads *)
       ( "fleet",
         [ Alcotest.test_case "boot, discover, spread, shutdown" `Quick
             test_fleet_boot_and_serve;
@@ -1360,4 +1441,6 @@ let () =
           Alcotest.test_case "SIGTERM drains the in-flight request" `Quick
             test_sigterm_drain_answers_inflight;
           Alcotest.test_case "watchdog recycles a wedged worker" `Quick
-            test_serve_watchdog ] ) ]
+            test_serve_watchdog;
+          Alcotest.test_case "each seat is governed by its own budget" `Quick
+            test_serve_budgets_per_seat ] ) ]

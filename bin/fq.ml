@@ -1290,11 +1290,13 @@ let serve_opts =
   let snapshot =
     Arg.(value & opt (some string) None
          & info [ "snapshot" ] ~docv:"FILE"
-             ~doc:"Decide-cache snapshot: loaded at boot if FILE exists (warm start), \
-                   written on graceful shutdown, on SIGUSR1, and on a $(b,snapshot) \
-                   request. Under $(b,fq fleet) the parent owns it: workers load it \
-                   read-only and journal their fresh verdicts, and the parent folds the \
-                   worker journals back in and republishes.")
+             ~doc:"Decide-cache snapshot, in the journal's CRC-framed format: loaded \
+                   at boot if FILE exists (warm start; corrupt records and a torn tail \
+                   are skipped), written whole on graceful shutdown, on SIGUSR1, on a \
+                   $(b,snapshot) request and at each journal compaction. Under \
+                   $(b,fq fleet) the parent owns it: workers load it read-only and \
+                   journal their fresh verdicts, and the parent folds the worker \
+                   journals back in and republishes.")
   in
   let journal =
     Arg.(value & opt (some string) None

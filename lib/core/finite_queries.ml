@@ -19,6 +19,9 @@
       {!Nat_succ} ([N']), {!Presburger}, {!Arithmetic}, {!Extension}, and
       the paper's trace domain {!Traces} with its {!Reach} theory and the
       {!Reach_qe} quantifier elimination (Theorem A.3).
+    - {!Decide_cache} — memoized decide, persisted in the {!Journal}
+      format: a crash-safe write-ahead journal, and snapshots that are
+      compacted journals.
 
     {2 Turing machines} (the substrate of Section 3)
     - {!Machine}, {!Tape}, {!Run}, {!Encode}, {!Trace}, {!Builder}
@@ -44,10 +47,9 @@
     - {!Outcome} — the Complete/Partial/Unsupported query-outcome
       taxonomy with its stable JSON codec and exit-code mapping, shared
       by [fq eval], [fq batch] and [fq serve];
-    - {!Protocol}, {!Server}, {!Client}, {!Journal}, {!Fleet} — the
-      [fq serve] NDJSON wire protocol, the persistent daemon, a
-      blocking client with fleet failover, the crash-safe decide-cache
-      journal, and the [fq fleet] multi-process supervisor.
+    - {!Protocol}, {!Server}, {!Client}, {!Fleet} — the [fq serve]
+      NDJSON wire protocol, the persistent daemon, a blocking client
+      with fleet failover, and the [fq fleet] multi-process supervisor.
 
     {2 Safety}
     - {!Safe_range}, {!Finitization} (Theorem 2.2), {!Ext_active}
@@ -103,6 +105,7 @@ module Codec = Fq_db.Codec
 (* domains *)
 module Domain = Fq_domain.Domain
 module Decide_cache = Fq_domain.Decide_cache
+module Journal = Fq_domain.Journal
 module Eq_domain = Fq_domain.Eq_domain
 module Nat_order = Fq_domain.Nat_order
 module Nat_succ = Fq_domain.Nat_succ
@@ -128,7 +131,6 @@ module Query = Fq_eval.Query
 module Protocol = Fq_server.Protocol
 module Server = Fq_server.Server
 module Client = Fq_server.Client
-module Journal = Fq_server.Journal
 module Fleet = Fq_server.Fleet
 
 (* safety *)

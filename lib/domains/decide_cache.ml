@@ -115,12 +115,13 @@ let clear c =
    Caching one would poison the table — a later, better-funded run (a
    resumed scan, a retry with a fresh fair share) would keep hitting the
    stale trip forever. *)
+let budget_trip : Fq_core.Budget.failure -> bool = function
+  | Fuel_exhausted | Deadline_exceeded | Cancelled | Oversize _ -> true
+  | Unsupported _ -> false
+
 let cacheable = function
   | Ok _ -> true
-  | Error e -> (
-    match Fq_core.Budget.failure_of_string e with
-    | Some (Fuel_exhausted | Deadline_exceeded | Cancelled | Oversize _) -> false
-    | Some (Unsupported _) | None -> true)
+  | Error e -> not (Option.fold ~none:false ~some:budget_trip (Fq_core.Budget.failure_of_string e))
 
 (* The telemetry counters are the authoritative observable (they aggregate
    across every cache in a recording); the per-instance ints survive so the
@@ -184,22 +185,13 @@ let decide c (module D : Domain.S) f =
 
 (* ----------------------------- snapshots ---------------------------- *)
 
-(* Versioned text format, one cached verdict per line, MRU first:
-
-     fq-decide-cache 1
-     ok	BOOL	FORMULA
-     err	ESCAPED_MESSAGE	FORMULA
-
-   The formula is the alpha-normalized cache key printed in the concrete
-   syntax (print/parse is a tested roundtrip), rendered on an
-   infinite-margin formatter so it stays on one line; error messages are
-   String.escaped so tabs/newlines cannot break the framing.  Only
-   theory-determined verdicts are in the table (budget trips are never
-   cached), so every entry is eternally valid — a snapshot taken today
-   warms a server booted next month. *)
-
-let snapshot_magic = "fq-decide-cache"
-let snapshot_version = 1
+(* A snapshot is a compacted journal (journal.ml): one CRC-framed record
+   per cached verdict, least recently used first, so replaying the file
+   in order restores the recency list.  Each payload is [entry_to_line]:
+   the alpha-normalized key formula in concrete syntax plus its verdict.
+   Only theory-determined verdicts are in the table (budget trips are
+   never cached), so every entry is eternally valid — a snapshot taken
+   today warms a server booted next month. *)
 
 (* Cache keys are alpha-normalized, and [Formula.alpha_normalize] names
    bound variables with a '%' prefix the lexer cannot read back.  Print
@@ -246,8 +238,8 @@ let formula_line f =
   Format.fprintf fmt "%a@?" Formula.pp (parseable_bound f);
   Buffer.contents buf
 
-(* One cached verdict as a single line (no trailing newline) — the unit
-   shared by snapshot files and the server's journal records.  The
+(* One cached verdict as a single line (no trailing newline) — the
+   payload of every snapshot and journal record.  The
    formula is the alpha-normalized key in concrete syntax on an
    infinite-margin formatter; error messages are String.escaped, so a
    rendered entry can never contain '\n'. *)
@@ -274,41 +266,30 @@ let entry_of_line line =
 
 let save c path =
   let entries =
-    (* under the lock: walk MRU -> LRU; render outside any I/O failure *)
+    (* under the lock: consing along MRU -> LRU leaves the list LRU
+       first; render outside it *)
     locked c (fun () ->
         let rec walk acc = function
-          | None -> List.rev acc
+          | None -> acc
           | Some n -> walk ((n.key, n.value) :: acc) n.next
         in
         walk [] c.head)
   in
-  let tmp = path ^ ".tmp" in
   match Fq_core.Fault.hit "decide_cache.snapshot.save" with
   | exception e ->
-    (* injected before the tmp file opens: a failed save must leave any
+    (* injected before the file is touched: a failed save must leave any
        existing snapshot byte-identical (the rename is the only publish) *)
     Error (Printf.sprintf "snapshot: injected fault: %s" (Printexc.to_string e))
-  | () -> (
-  match open_out tmp with
-  | exception Sys_error msg -> Error (Printf.sprintf "snapshot: %s" msg)
-  | oc -> (
-    match
-      Printf.fprintf oc "%s %d\n" snapshot_magic snapshot_version;
-      List.iter
-        (fun (key, value) -> Printf.fprintf oc "%s\n" (entry_to_line key value))
-        entries;
-      close_out oc;
-      Sys.rename tmp path
-    with
-    | () -> Ok (List.length entries)
-    | exception Sys_error msg ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      Error (Printf.sprintf "snapshot: %s" msg)))
+  | () ->
+    Result.map
+      (fun () -> List.length entries)
+      (Journal.write path (List.map (fun (key, value) -> entry_to_line key value) entries))
 
-(* Insert one restored entry at the front of the recency list.  The
-   loader feeds entries LRU-first, so after the last insertion the
-   snapshot's recency order is restored exactly; the capacity bound
-   applies as usual (an over-capacity snapshot keeps its MRU prefix). *)
+(* Insert one restored entry at the front of the recency list.  Records
+   replay oldest first, so after the last insertion the snapshot's
+   recency order is restored exactly, and journal records replayed after
+   the snapshot land in front of it; the capacity bound applies as usual
+   (an over-capacity snapshot keeps its most recently used entries). *)
 let restore c key value =
   locked c (fun () ->
       (match H.find_opt c.table key with
@@ -321,39 +302,19 @@ let restore c key value =
         push_front c n);
       evict_excess c)
 
-let load c path =
-  match open_in path with
-  | exception Sys_error msg -> Error (Printf.sprintf "snapshot: %s" msg)
-  | ic ->
-    let finally () = close_in_noerr ic in
-    Fun.protect ~finally @@ fun () ->
-    (match input_line ic with
-    | exception End_of_file -> Error "snapshot: empty file"
-    | header -> (
-      match String.split_on_char ' ' (String.trim header) with
-      | [ magic; version ] when magic = snapshot_magic ->
-        if int_of_string_opt version = Some snapshot_version then Ok ()
-        else Error (Printf.sprintf "snapshot: unsupported version %s (want %d)" version snapshot_version)
-      | _ -> Error (Printf.sprintf "snapshot: bad header %S" header)))
-    |> Fun.flip Result.bind @@ fun () ->
-    let parse_entry lineno line =
-      Result.map_error
-        (fun e -> Printf.sprintf "snapshot: line %d: %s" lineno e)
-        (entry_of_line line)
-    in
-    let rec read acc lineno =
-      match input_line ic with
-      | exception End_of_file -> Ok acc (* accumulated in reverse: LRU first *)
-      | line ->
-        let line = String.trim line in
-        if line = "" then read acc (lineno + 1)
-        else Result.bind (parse_entry lineno line) (fun e -> read (e :: acc) (lineno + 1))
-    in
-    Result.map
-      (fun entries ->
-        List.iter (fun (key, value) -> if cacheable value then restore c key value) entries;
-        List.length entries)
-      (read [] 2)
+(* Replay a snapshot or journal into [c]; a record whose payload is not
+   a cacheable entry counts as skipped, like one that fails its CRC. *)
+let load ?(truncate = false) c path =
+  let rejected = ref 0 in
+  let replay payload =
+    match entry_of_line payload with
+    | Ok (key, value) when cacheable value -> restore c key value
+    | Ok _ | Error _ -> incr rejected
+  in
+  Result.map
+    (fun (r : Journal.recovery) ->
+      { r with applied = r.applied - !rejected; skipped = r.skipped + !rejected })
+    (Journal.recover ~truncate path ~f:replay)
 
 (* A domain whose [decide] consults the cache; every other component is
    forwarded. Lets cache-oblivious code (Enumerate, Relative_safety, the
@@ -374,8 +335,9 @@ let domain c ((module D : Domain.S) as d) : Domain.t =
 
 (* The breaker sits outside the cache: its circuit-open error describes
    the breaker's state, not the formula, so it never enters the cache.  A
-   budget trip is the governor's verdict on one run, not evidence that
-   the procedure is broken, so it is not counted against the breaker. *)
+   budget trip, returned or raised, is the governor's verdict on one run,
+   not evidence that the procedure is broken, so it is not counted
+   against the breaker. *)
 let guarded c ~breaker ~name d =
   let module Breaker = Fq_core.Supervisor.Breaker in
   let cached = domain c d in
@@ -389,11 +351,11 @@ let guarded c ~breaker ~name d =
         | Ok _ as r ->
           Breaker.success breaker;
           r
-        | Error e as r ->
-          (match Fq_core.Budget.failure_of_string e with
-          | Some (Fq_core.Budget.Unsupported _) | None -> Breaker.failure breaker
-          | Some _ -> ());
+        | Error _ as r ->
+          (* every error but a budget trip is one the cache keeps *)
+          if cacheable r then Breaker.failure breaker;
           r
+        | exception (Fq_core.Budget.Exhausted fl as e) when budget_trip fl -> raise e
         | exception e ->
           Breaker.failure breaker;
           raise e)

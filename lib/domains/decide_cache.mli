@@ -51,35 +51,37 @@ val set_on_insert : t -> (Fq_logic.Formula.t -> (bool, string) result -> unit) o
 
 (** {1 Snapshots} — warm-start serialization for [fq serve].
 
-    A snapshot is a versioned text file ([fq-decide-cache 1]) holding
-    every cached verdict, MRU first: the alpha-normalized key formula in
-    concrete syntax plus its [Ok]/fragment-error verdict.  Budget trips
-    are never in the table, so every snapshot entry is a
-    theory-determined eternal truth — loading one into a fresh cache is
-    sound for the same domain theory, and a restarted server answers
-    previously-seen sentences without re-paying quantifier
-    elimination. *)
+    A snapshot is a compacted {!Journal}: the [fq-decide-journal 1]
+    header and one CRC-framed {!entry_to_line} record per cached
+    verdict, least recently used first.  Budget trips are never in the
+    table, so every snapshot entry is a theory-determined eternal truth
+    — loading one into a fresh cache is sound for the same domain
+    theory, and a restarted server answers previously-seen sentences
+    without re-paying quantifier elimination. *)
 
 val save : t -> string -> (int, string) result
-(** [save c path] writes the snapshot atomically (temp file + rename) and
-    returns the number of entries written.  A failed save — including one
+(** [save c path] writes the snapshot with {!Journal.write} and returns
+    the number of entries written.  A failed save — including one
     injected at the ["decide_cache.snapshot.save"] fault site — leaves
     any existing snapshot at [path] byte-identical: the rename is the
     only publish. *)
 
-val load : t -> string -> (int, string) result
-(** [load c path] parses a snapshot and merges it into [c], restoring the
-    saved recency order (existing entries are refreshed in place); the
-    capacity bound applies, so an over-capacity snapshot keeps its
-    most-recently-used prefix.  Returns the number of entries read;
-    [Error] on a missing file, a version mismatch, or a malformed
-    line. *)
+val load : ?truncate:bool -> t -> string -> (Journal.recovery, string) result
+(** [load c path] replays a snapshot or journal into [c] with
+    {!Journal.recover}, so both get the same recovery rules: a torn tail
+    or a record that fails its CRC is dropped and the rest still load.
+    Records replay in file order, each refreshed to the MRU front, so a
+    snapshot's recency order is restored and a journal loaded after it
+    wins the refresh; the capacity bound applies.  A record whose
+    payload is not a cacheable entry counts as [skipped].  A missing
+    file loads nothing; [Error] only on a wrong header or an unreadable
+    file.  [truncate] (default [false]: fleet workers share the
+    snapshot read-only) cuts a torn tail from the file. *)
 
 val entry_to_line : Fq_logic.Formula.t -> (bool, string) result -> string
-(** One cached verdict rendered as a single snapshot-format line (no
-    trailing newline): [ok\tBOOL\tFORMULA] or [err\tESCAPED\tFORMULA].
-    Guaranteed newline-free, so it doubles as the payload of a
-    {!Fq_server.Journal} record. *)
+(** One cached verdict rendered as a single line (no trailing newline):
+    [ok\tBOOL\tFORMULA] or [err\tESCAPED\tFORMULA] — the payload of
+    every snapshot and journal record. *)
 
 val entry_of_line : string -> (Fq_logic.Formula.t * (bool, string) result, string) result
 (** Parse an {!entry_to_line} rendering back into an (alpha-normalized
@@ -88,7 +90,7 @@ val entry_of_line : string -> (Fq_logic.Formula.t * (bool, string) result, strin
 val restore : t -> Fq_logic.Formula.t -> (bool, string) result -> unit
 (** [restore c key value] inserts one entry at the MRU front (refreshing
     it in place if present) without firing the {!set_on_insert} hook —
-    the replay primitive for snapshot loading and journal recovery.
+    the replay primitive behind {!load}.
     [key] must already be alpha-normalized ({!entry_of_line} output
     is). *)
 
@@ -108,4 +110,5 @@ val guarded :
     breaker is open, decide answers
     ["unsupported: circuit open: NAME decision procedure cooling down"];
     a crash, an [unsupported:] error or any unclassified error counts as
-    a breaker failure, a budget trip does not. *)
+    a breaker failure, a budget trip does not — whether [decide] returns
+    it as an error or raises it as {!Fq_core.Budget.Exhausted}. *)

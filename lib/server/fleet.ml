@@ -29,6 +29,7 @@
 module Json = Fq_core.Json
 module Aggregate = Fq_core.Aggregate
 module Decide_cache = Fq_domain.Decide_cache
+module Journal = Fq_domain.Journal
 module Optimizer = Fq_db.Optimizer
 
 type config = {
@@ -127,7 +128,7 @@ let fold_journal t w ~destructive =
   match w.w_journal with
   | None -> 0
   | Some jpath -> (
-    match Server.replay_journal ~truncate:destructive t.cache jpath with
+    match Decide_cache.load ~truncate:destructive t.cache jpath with
     | Ok { Journal.applied; _ } ->
       if destructive then ( try Sys.remove jpath with Sys_error _ -> ());
       t.folded <- t.folded + applied;
@@ -559,7 +560,7 @@ let run cfg =
       save_snapshot t ~why:"crash recovery"
     end;
     Option.iter
-      (fun n -> logf t "warm start, %d cached verdicts loaded" n)
+      (fun (r : Journal.recovery) -> logf t "warm start, %d cached verdicts loaded" r.applied)
       loaded;
     (* bind before the first fork: an unbindable address fails the boot
        with no worker left behind (children close the inherited fd) *)

@@ -38,6 +38,7 @@ module Schema = Fq_db.Schema
 module Relalg = Fq_db.Relalg
 module Optimizer = Fq_db.Optimizer
 module Decide_cache = Fq_domain.Decide_cache
+module Journal = Fq_domain.Journal
 module Query = Fq_eval.Query
 module Outcome = Fq_eval.Outcome
 
@@ -1161,26 +1162,31 @@ let spawn_seat srv slot gen =
    completed and its seat re-generationed, and exits. *)
 let scan_watchdog srv =
   let nw = now_ms () in
-  let victims =
+  (* counted after srv.lock is released: the registry has its own lock *)
+  let cancels, victims =
     Mutex.protect srv.lock (fun () ->
         Array.fold_left
-          (fun acc slot ->
+          (fun (cancels, acc) slot ->
             match slot.s_job with
             | Some job when slot.s_deadline > 0. ->
-              if nw > slot.s_deadline && not (Atomic.get job.j_cancel) then begin
-                Atomic.set job.j_cancel true;
-                reg_count_unlocked srv.reg "serve.watchdog_cancels" 1
-              end;
+              let cancels =
+                if nw > slot.s_deadline && not (Atomic.get job.j_cancel) then begin
+                  Atomic.set job.j_cancel true;
+                  cancels + 1
+                end
+                else cancels
+              in
               if nw > slot.s_deadline +. float_of_int srv.cfg.watchdog_grace_ms then begin
                 slot.s_gen <- slot.s_gen + 1;
                 slot.s_job <- None;
                 slot.s_deadline <- 0.;
-                (slot, slot.s_gen, job) :: acc
+                (cancels, (slot, slot.s_gen, job) :: acc)
               end
-              else acc
-            | _ -> acc)
-          [] srv.slots)
+              else (cancels, acc)
+            | _ -> (cancels, acc))
+          (0, []) srv.slots)
   in
+  if cancels > 0 then reg_count srv.reg ~n:cancels "serve.watchdog_cancels";
   List.iter
     (fun (slot, gen, job) ->
       reg_count srv.reg "serve.watchdog_recycles";
@@ -1415,27 +1421,12 @@ let trap_signals () =
   trap Sys.sigusr1 sigs.usr1;
   sigs
 
-(* Warm boot: [Some n] verdicts loaded from the snapshot, [None] when
-   there is no snapshot file yet. *)
+(* Warm boot: what the snapshot replayed, [None] when there is no
+   snapshot file yet. *)
 let load_snapshot cache (cfg : config) =
   match cfg.snapshot with
   | Some path when Sys.file_exists path -> Result.map Option.some (Decide_cache.load cache path)
   | _ -> Ok None
-
-(* Replay a journal's records into [cache]; [applied] counts the
-   verdicts restored and [skipped] also counts records whose payload is
-   not a cache entry. *)
-let replay_journal ?truncate cache path =
-  let unparsable = ref 0 in
-  let replay payload =
-    match Decide_cache.entry_of_line payload with
-    | Ok (key, value) -> Decide_cache.restore cache key value
-    | Error _ -> incr unparsable
-  in
-  Result.map
-    (fun (r : Journal.recovery) ->
-      { r with applied = r.applied - !unparsable; skipped = r.skipped + !unparsable })
-    (Journal.recover ?truncate path ~f:replay)
 
 let run_bound cfg =
   let sigs = trap_signals () in
@@ -1467,21 +1458,24 @@ let run_bound cfg =
       last_save = Atomic.make 0. }
   in
   Result.bind (load_snapshot srv.cache cfg) @@ fun loaded ->
-  (* Journal recovery runs after the snapshot load so recovered records
-     (which postdate the snapshot) win the MRU refresh; then the journal
-     is opened for appending and the decide cache starts feeding it. *)
+  (* The journal replays after the snapshot, so its records (which
+     postdate the snapshot) land in front of it; its torn tail is cut so
+     the append position sits after a complete record. *)
   let journal_boot =
     match journal_path cfg with
     | None -> Ok None
     | Some jpath ->
-      Result.bind (replay_journal srv.cache jpath) @@ fun r ->
+      Result.bind (Decide_cache.load ~truncate:true srv.cache jpath) @@ fun r ->
       Result.map (fun j -> Some (j, r)) (Journal.open_append jpath)
   in
   Result.bind journal_boot @@ fun jopened ->
   Result.bind (bind_socket cfg.addr) @@ fun listen_fd ->
-  (match loaded with
-  | Some n -> logf cfg "warm start, %d cached verdicts loaded" n
-  | None -> ());
+  Option.iter
+    (fun { Journal.applied; skipped; truncated_bytes } ->
+      logf cfg "warm start, %d cached verdicts loaded%s" applied
+        (if skipped + truncated_bytes = 0 then ""
+         else Printf.sprintf " (%d skipped, %d torn bytes)" skipped truncated_bytes))
+    loaded;
   (match jopened with
   | Some (j, { Journal.applied; skipped; truncated_bytes }) ->
     srv.journal <- Some j;

@@ -200,13 +200,10 @@ val load_state_file :
   string option -> configured:string option -> (string * Fq_db.State.t, string) result
 (** Parse the state file a [reload] names, else the [configured] one. *)
 
-val load_snapshot : Fq_domain.Decide_cache.t -> config -> (int option, string) result
-(** Verdicts loaded from [snapshot]; [None] when there is no file. *)
-
-val replay_journal :
-  ?truncate:bool -> Fq_domain.Decide_cache.t -> string -> (Journal.recovery, string) result
-(** {!Journal.recover} into a decide cache; [applied] counts restored
-    verdicts and [skipped] also counts records that are not entries. *)
+val load_snapshot :
+  Fq_domain.Decide_cache.t -> config -> (Fq_domain.Journal.recovery option, string) result
+(** {!Fq_domain.Decide_cache.load} of [snapshot], read-only; [None] when
+    there is no file. *)
 
 val run : config -> (int, string) result
 (** Boot and serve until a [shutdown] request or SIGTERM (both take the

@@ -238,6 +238,31 @@ let test_breaker_lifecycle () =
   check_state "successful probe closes" Supervisor.Breaker.Closed;
   Alcotest.(check int) "two trips recorded" 2 (Supervisor.Breaker.trips b)
 
+(* A budget trip is the governor's verdict on one run, whether a decide
+   returns it as an error or raises it: neither may open the circuit.
+   A raised crash still does. *)
+let test_breaker_ignores_raised_trips () =
+  let f = parse "forall x. exists y. x < y" in
+  let raising exn =
+    Fq_domain.Domain.with_decide (module Fq_domain.Presburger) (fun _ -> raise exn)
+  in
+  let run ~calls exn =
+    let breaker = Supervisor.Breaker.create ~threshold:3 () in
+    let (module G : Fq_domain.Domain.S) =
+      Decide_cache.guarded (Decide_cache.create ()) ~breaker ~name:"stub" (raising exn)
+    in
+    for _ = 1 to calls do
+      match G.decide f with
+      | exception e when e == exn -> ()
+      | _ -> Alcotest.fail "the stub's exception must propagate"
+    done;
+    Supervisor.Breaker.state breaker
+  in
+  Alcotest.(check bool) "raised budget trips leave the breaker closed" true
+    (run ~calls:5 (Budget.Exhausted Budget.Fuel_exhausted) = Supervisor.Breaker.Closed);
+  Alcotest.(check bool) "raised crashes open it" true
+    (run ~calls:3 (Failure "boom") = Supervisor.Breaker.Open)
+
 (* --------------------------- parallel map --------------------------- *)
 
 let test_parallel_map () =
@@ -501,7 +526,9 @@ let () =
           Alcotest.test_case "backoff is capped" `Quick test_backoff_cap;
           Alcotest.test_case "fair fuel shares" `Quick test_fair_share ] );
       ( "breaker",
-        [ Alcotest.test_case "closed/open/half-open lifecycle" `Quick test_breaker_lifecycle ] );
+        [ Alcotest.test_case "closed/open/half-open lifecycle" `Quick test_breaker_lifecycle;
+          Alcotest.test_case "raised budget trips do not open it" `Quick
+            test_breaker_ignores_raised_trips ] );
       ( "parallel",
         [ Alcotest.test_case "parallel_map" `Quick test_parallel_map;
           Alcotest.test_case "worker ambient isolation" `Quick test_worker_isolation;

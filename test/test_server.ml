@@ -17,7 +17,7 @@ module Decide_cache = Fq_domain.Decide_cache
 module Protocol = Fq_server.Protocol
 module Server = Fq_server.Server
 module Client = Fq_server.Client
-module Journal = Fq_server.Journal
+module Journal = Fq_domain.Journal
 module Fault = Fq_core.Fault
 
 let contains hay needle =
@@ -213,8 +213,8 @@ let prop_snapshot_agrees =
       | Error e -> QCheck.Test.fail_reportf "save: %s" e);
       let warm = Decide_cache.create () in
       (match Decide_cache.load warm snapshot_path with
-      | Ok n when n >= 1 -> ()
-      | Ok n -> QCheck.Test.fail_reportf "snapshot read %d entries" n
+      | Ok { Journal.applied; _ } when applied >= 1 -> ()
+      | Ok { Journal.applied; _ } -> QCheck.Test.fail_reportf "snapshot read %d entries" applied
       | Error e -> QCheck.Test.fail_reportf "load: %s" e);
       let warm_verdict = Decide_cache.decide warm poisoned f in
       if warm_verdict <> cold_verdict then
@@ -388,10 +388,10 @@ let test_journal_fault_containment () =
   Alcotest.(check int) "no torn tail" 0 r.Journal.truncated_bytes;
   Sys.remove p
 
-(* The PR-8 acceptance property: journal the verdicts of a cold cache,
+(* The recovery property, on a snapshot itself: save a cold cache,
    mangle the file (truncate at a random byte, or flip a random byte),
-   and recovery must (a) for truncation, recover exactly the longest
-   valid record prefix, and (b) never replay an entry whose verdict
+   and loading it must (a) for truncation, restore exactly the longest
+   valid record prefix, and (b) never restore an entry whose verdict
    disagrees with a cold decide of its key. *)
 let prop_journal_recovery =
   QCheck.Test.make ~name:"journal recovery agrees with cold decide" ~count:120
@@ -406,21 +406,13 @@ let prop_journal_recovery =
     (fun (fs, (mode, (a, b))) ->
       let cold = Decide_cache.create () in
       List.iter (fun f -> ignore (Decide_cache.decide cold presburger f)) fs;
-      (* the journal payloads are the cache's own entry renderings *)
-      let snap = Filename.temp_file "fq_jr_snap" ".fq" in
+      let snap = fresh_journal () in
       (match Decide_cache.save cold snap with
       | Ok _ -> ()
       | Error e -> QCheck.Test.fail_reportf "save: %s" e);
-      let lines =
-        match String.split_on_char '\n' (read_file snap) with
-        | _header :: rest -> List.filter (fun l -> l <> "") rest
-        | [] -> []
-      in
-      Sys.remove snap;
+      let _, lines = recover_all snap in
       if lines = [] then QCheck.Test.fail_report "cold cache produced no entries";
-      let jpath = fresh_journal () in
-      append_all jpath lines;
-      let content = read_file jpath in
+      let content = read_file snap in
       let hlen = String.length journal_header in
       let body_len = String.length content - hlen in
       (* end offset of each record: 8 hex CRC + tab + payload + newline *)
@@ -438,7 +430,7 @@ let prop_journal_recovery =
         | 0 -> Some lines
         | 1 ->
           let cut = hlen + (a mod (body_len + 1)) in
-          Unix.truncate jpath cut;
+          Unix.truncate snap cut;
           Some
             (List.combine lines bounds
             |> List.filter (fun (_, e) -> e <= cut)
@@ -448,22 +440,26 @@ let prop_journal_recovery =
           let bytes = Bytes.of_string content in
           let old = Char.code (Bytes.get bytes pos) in
           Bytes.set bytes pos (Char.chr (if old = b then (b + 1) land 0xff else b));
-          write_file jpath (Bytes.to_string bytes);
+          write_file snap (Bytes.to_string bytes);
           None
       in
-      let acc = ref [] in
+      let warm = Decide_cache.create () in
       let r =
-        match Journal.recover jpath ~f:(fun p -> acc := p :: !acc) with
+        match Decide_cache.load warm snap with
         | Ok r -> r
-        | Error e -> QCheck.Test.fail_reportf "recover: %s" e
+        | Error e -> QCheck.Test.fail_reportf "load: %s" e
       in
-      let got = List.rev !acc in
-      Sys.remove jpath;
+      (* what was restored, in recency order: the warm cache's own save *)
+      (match Decide_cache.save warm snap with
+      | Ok _ -> ()
+      | Error e -> QCheck.Test.fail_reportf "resave: %s" e);
+      let _, got = recover_all snap in
+      Sys.remove snap;
       (match expected_exact with
       | Some exp ->
         if got <> exp then
           QCheck.Test.fail_reportf
-            "longest valid prefix: expected %d records, recovered %d"
+            "longest valid prefix: expected %d records, restored %d"
             (List.length exp) (List.length got)
       | None ->
         (* one flipped byte can cost at most two records (a merged or
@@ -474,12 +470,12 @@ let prop_journal_recovery =
             (m - List.length got) m;
         if r.Journal.applied + r.Journal.skipped + (if r.Journal.truncated_bytes > 0 then 1 else 0) < m - 1
         then QCheck.Test.fail_report "records unaccounted for");
-      (* no surviving record may disagree with a cold decide of its key *)
+      (* no restored entry may disagree with a cold decide of its key *)
       let check_cache = Decide_cache.create () in
       List.iter
         (fun p ->
           match Decide_cache.entry_of_line p with
-          | Error e -> QCheck.Test.fail_reportf "recovered a malformed entry %S: %s" p e
+          | Error e -> QCheck.Test.fail_reportf "restored a malformed entry %S: %s" p e
           | Ok (key, value) ->
             let fresh = Decide_cache.decide check_cache presburger key in
             if fresh <> value then
@@ -694,6 +690,59 @@ let test_serve_snapshot_warm () =
 
 let eval_req ?domain ?timeout_ms id formula =
   Protocol.Eval { id; domain; formula; fuel = None; timeout_ms; resume = None; trace = None }
+
+(* A snapshot is a compacted journal, so it recovers like one: a record
+   that fails its CRC and a torn tail cost only themselves, and the
+   server boots warm with every surviving verdict. *)
+let test_serve_damaged_snapshot () =
+  let sentences =
+    [ "forall x. exists y. x < y"; "forall x. 0 < x + 1"; "exists x. forall y. y < x" ]
+  in
+  let cold = Decide_cache.create () in
+  List.iter
+    (fun s -> ignore (Decide_cache.decide cold presburger (Fq_logic.Parser.formula_exn s)))
+    sentences;
+  let snap = fresh_journal () in
+  (match Decide_cache.save cold snap with
+  | Ok 3 -> ()
+  | Ok n -> Alcotest.failf "saved %d entries" n
+  | Error e -> Alcotest.failf "save: %s" e);
+  (* records are least recently used first, so line 2 holds the second
+     sentence: flip the first byte of its payload, then tear the tail *)
+  let damaged =
+    List.mapi
+      (fun i line -> if i = 2 then String.mapi (fun j c -> if j = 9 then 'x' else c) line else line)
+      (String.split_on_char '\n' (read_file snap))
+  in
+  write_file snap (String.concat "\n" damaged ^ "deadbeef\tok\ttr");
+  let lines = ref [] and llock = Mutex.create () in
+  let cfg =
+    { (base_config (fresh_addr ())) with
+      snapshot = Some snap;
+      extra_domains = [ ("poisoned", poisoned) ];
+      log = (fun l -> Mutex.protect llock (fun () -> lines := l :: !lines)) }
+  in
+  with_server cfg (fun c ->
+      List.iteri
+        (fun i formula ->
+          let id = string_of_int i in
+          match Client.request c (eval_req ~domain:"poisoned" id formula) with
+          | Ok (_, Protocol.R_outcome o) ->
+            (* only a cache hit answers without the poisoned decide *)
+            Alcotest.(check bool) (formula ^ " warm") (i <> 1) (Outcome.status o = "complete")
+          | Ok _ -> Alcotest.fail "expected an outcome"
+          | Error e -> Alcotest.failf "eval %s: %s" formula e)
+        sentences);
+  Alcotest.(check bool) "boot logs the warm start and the damage" true
+    (List.mem "fq serve: warm start, 2 cached verdicts loaded (1 skipped, 14 torn bytes)" !lines);
+  (* a file that is not a journal, such as the old text snapshot, still
+     fails the boot rather than being silently overwritten *)
+  write_file snap "fq-decide-cache 1\nok\ttrue\tforall v0. exists v1. v0 < v1\n";
+  (match Server.run cfg with
+  | Error e -> Alcotest.(check bool) "names the header" true (contains e "bad header")
+  | Ok _ -> Alcotest.fail "a wrong header must fail the boot");
+  Sys.remove snap;
+  Sys.remove (snap ^ ".journal")
 
 let test_serve_trace_roundtrip () =
   let cfg = { (base_config (fresh_addr ())) with trace_sample = 1 } in
@@ -1430,6 +1479,7 @@ let () =
             test_serve_trace_roundtrip;
           Alcotest.test_case "admission reject carries resume" `Quick test_serve_reject;
           Alcotest.test_case "snapshot warm start" `Quick test_serve_snapshot_warm;
+          Alcotest.test_case "damaged snapshot boots warm" `Quick test_serve_damaged_snapshot;
           Alcotest.test_case "hot reload swaps epochs without drops" `Quick
             test_serve_reload;
           Alcotest.test_case "oversize line answered and drained" `Quick

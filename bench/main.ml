@@ -868,124 +868,6 @@ let batch_agreement () =
       | _ -> false)
     seq par
 
-(* ------------------------------------------------------------------ *)
-(* PR 6 ablation: columnar batch engine vs the row-at-a-time engine    *)
-(* ------------------------------------------------------------------ *)
-
-(* Both engines are timed on identical optimized plans; the row engine
-   stays selectable precisely so this ablation keeps an honest baseline.
-   The two workloads bracket the engine on join-heavy shapes whose
-   intermediates dwarf their answers — where execution cost lives in the
-   operator inner loops rather than in materializing the (identical)
-   final relation:
-   - the chain join is many-to-many (each hop fans out [fan] ways
-     through [hubs] hub values) over Int (bigint) keys, projected to the
-     hub pair at the ends — the optimized plan runs two hash joins whose
-     intermediate is [fan] times the base cardinality;
-   - the G(x,z) sweep runs the whole RANF pipeline (compile + optimize +
-     eval) on a dense graph of string vertices (each vertex reaches its
-     [fan] successors), where the row engine additionally pays string
-     hashing per probe. *)
-let with_engine e f =
-  let old = !Relalg.default_engine in
-  Relalg.default_engine := e;
-  Fun.protect ~finally:(fun () -> Relalg.default_engine := old) f
-
-(* R fans into [hubs] hub values, S connects each hub to its [fan]
-   successors, T closes the loop; the chain R |x| S |x| T therefore has
-   n*fan intermediate tuples but only hubs*fan distinct hub pairs. *)
-let hub_join_state ~n ~hubs ~fan =
-  let r = List.init n (fun i -> [ vi i; vi (i mod hubs) ]) in
-  let s =
-    List.concat_map
-      (fun h -> List.init fan (fun r -> [ vi h; vi ((h + r) mod hubs) ]))
-      (List.init hubs (fun h -> h))
-  in
-  let t = List.init hubs (fun h -> [ vi h; vi h ]) in
-  State.make ~schema:join_schema
-    [ ("R", Relation.make ~arity:2 r);
-      ("S", Relation.make ~arity:2 s);
-      ("T", Relation.make ~arity:2 t) ]
-
-let hub_join_plan =
-  Relalg.(
-    Project ([ 1; 5 ], Join ([ (3, 0) ], Join ([ (1, 0) ], Rel "R", Rel "S"), Rel "T")))
-
-(* a graph on [n] string vertices where each vertex reaches its [fan]
-   successors: G(x,z) has ~n*fan^2 join candidates, ~n*2*fan answers.
-   Vertices carry URI-style labels, the shape of real graph data: the
-   row engine re-hashes and re-compares them at every probe and dedup,
-   while the columnar engine hashes each label once into the dictionary
-   and joins on codes. *)
-let dense_chain_state ~n ~fan =
-  let v i = s (Printf.sprintf "http://example.org/vertex/%06d" (i mod n)) in
-  let edges =
-    List.concat_map
-      (fun i -> List.init fan (fun r -> [ v i; v (i + r + 1) ]))
-      (List.init n (fun i -> i))
-  in
-  State.make ~schema:family_schema [ ("F", Relation.make ~arity:2 edges) ]
-
-let columnar_ablation ~n_join ~n_chain =
-  let fan = 12 in
-  let st = hub_join_state ~n:n_join ~hubs:(max 4 (n_join / 20)) ~fan in
-  let plan = Optimizer.optimize_for ~schema:join_schema hub_join_plan in
-  let join e () = Relalg.eval ~state:st ~engine:e plan in
-  let join_agree =
-    Relation.equal (join Relalg.Row_engine ()) (join Relalg.Columnar_engine ())
-  in
-  let join_reps = max 2 (6_000 / n_join) in
-  let join_row, join_col =
-    best_pair ~runs:7 ~reps:join_reps
-      (join Relalg.Row_engine)
-      (join Relalg.Columnar_engine)
-  in
-  let stc = dense_chain_state ~n:n_chain ~fan in
-  let ranf e () = with_engine e (fun () -> Ranf.run ~domain:eq_domain ~state:stc g_query) in
-  let enum_agree =
-    match (ranf Relalg.Row_engine (), ranf Relalg.Columnar_engine ()) with
-    | Ok a, Ok b -> Relation.equal a b
-    | _ -> false
-  in
-  let enum_reps = max 2 (3_000 / n_chain) in
-  let enum_row, enum_col =
-    best_pair ~runs:5 ~reps:enum_reps
-      (ranf Relalg.Row_engine)
-      (ranf Relalg.Columnar_engine)
-  in
-  (* budget governance on the columnar engine: same envelope as A3, on a
-     join sized so the per-eval envelope cost (budget construction, DLS
-     install, span) is amortized the way a governed production eval
-     amortizes it — not measured against a sub-200us toy eval *)
-  let n_gov = 8 * n_join in
-  let stg = hub_join_state ~n:n_gov ~hubs:(max 4 (n_gov / 20)) ~fan in
-  let gov_reps = max 2 (6_000 / n_gov) in
-  let gov_plain, gov_gov =
-    best_pair ~runs:9 ~reps:gov_reps
-      (fun () -> Relalg.eval ~state:stg ~engine:Relalg.Columnar_engine plan)
-      (fun () ->
-        Relalg.eval ~state:stg ~engine:Relalg.Columnar_engine ~budget:(full_budget ()) plan)
-  in
-  let gov_pct = 100.0 *. ((gov_gov /. gov_plain) -. 1.0) in
-  let entry label n row col agree =
-    ( label,
-      `Assoc
-        [ ("n", `Int n);
-          ("row_us", `Float row);
-          ("columnar_us", `Float col);
-          ("speedup", `Float (row /. col));
-          ("agree", `Bool agree) ] )
-  in
-  ( `Assoc
-      [ entry "chain_join" n_join join_row join_col join_agree;
-        entry "enumeration_sweep_ranf_G" n_chain enum_row enum_col enum_agree;
-        ( "governed_columnar_join",
-          `Assoc
-            [ ("plain_us", `Float gov_plain);
-              ("governed_us", `Float gov_gov);
-              ("overhead_pct", `Float gov_pct) ] ) ],
-    (join_row /. join_col, enum_row /. enum_col, join_agree && enum_agree, gov_pct) )
-
 let ablations () =
   section "A1 (PR 1): hash-join engine vs naive product-filter (3-way chain join)";
   row "%6s %14s %14s %10s" "n" "naive(us)" "hashjoin(us)" "speedup";
@@ -1540,30 +1422,6 @@ let json_report_pr5 () =
   in
   Format.printf "%a@." print_json doc
 
-let json_report_pr6 () =
-  let detail, (join_speedup, enum_speedup, agree, gov_pct) =
-    columnar_ablation ~n_join:2000 ~n_chain:4000
-  in
-  let doc =
-    `Assoc
-      [ ("pr", `Int 6);
-        ( "description",
-          `String
-            "columnar batch execution engine (dictionary-encoded column batches, \
-             selection vectors, code-keyed hash joins) vs the row-at-a-time engine on \
-             identical plans, plus budget-governance overhead on the columnar engine" );
-        ("columnar_ablation", detail);
-        ( "acceptance",
-          `Assoc
-            [ ("engines_agree", `Bool agree);
-              ("chain_join_speedup", `Float join_speedup);
-              ("enumeration_speedup", `Float enum_speedup);
-              ("chain_join_speedup_ge_10x", `Bool (join_speedup >= 10.0));
-              ("enumeration_speedup_ge_10x", `Bool (enum_speedup >= 10.0));
-              ("governed_overhead_pct", `Float gov_pct);
-              ("governed_overhead_le_5pct", `Bool (gov_pct <= 5.0)) ] ) ]
-  in
-  Format.printf "%a@." print_json doc
 let json_report_pr7 () =
   let detail, (warm_speedup, serve_us, direct_us) = serve_ablation () in
   let doc =
@@ -1789,29 +1647,6 @@ let json_report_pr10 () =
   in
   Format.printf "%a@." print_json doc
 
-(* Downsized CI gate: fails (exit 1) if the columnar engine regresses
-   below the row engine on the chain join, or the engines disagree. *)
-let smoke_pr6 () =
-  let detail, (join_speedup, enum_speedup, agree, _) =
-    columnar_ablation ~n_join:300 ~n_chain:300
-  in
-  Format.printf "%a@." print_json
-    (`Assoc
-      [ ("smoke", `String "pr6");
-        ("columnar_ablation", detail);
-        ("engines_agree", `Bool agree);
-        ("chain_join_speedup", `Float join_speedup);
-        ("enumeration_speedup", `Float enum_speedup) ]);
-  if not agree then begin
-    prerr_endline "smoke-pr6: FAIL engines disagree";
-    exit 1
-  end;
-  if join_speedup < 1.0 then begin
-    Printf.eprintf "smoke-pr6: FAIL columnar slower than row on chain join (%.2fx)\n"
-      join_speedup;
-    exit 1
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks                                            *)
 (* ------------------------------------------------------------------ *)
@@ -1902,12 +1737,10 @@ let () =
   | "json-pr3" -> json_report_pr3 ()
   | "json-pr4" -> json_report_pr4 ()
   | "json-pr5" -> json_report_pr5 ()
-  | "json-pr6" -> json_report_pr6 ()
   | "json-pr7" -> json_report_pr7 ()
   | "json-pr8" -> json_report_pr8 ()
   | "json-pr9" -> json_report_pr9 ()
   | "json-pr10" -> json_report_pr10 ()
-  | "smoke-pr6" -> smoke_pr6 ()
   | _ ->
     let quick = mode = "quick" in
     Format.printf

@@ -61,30 +61,6 @@ let constant_arg =
 let parse_state rel_specs const_specs =
   Codec.parse_state ~relations:rel_specs ~constants:const_specs
 
-(* ------------------------------ engine ------------------------------ *)
-
-let engine_conv =
-  let parse = function
-    | "row" -> Ok Relalg.Row_engine
-    | "columnar" -> Ok Relalg.Columnar_engine
-    | s -> Error (`Msg (Printf.sprintf "unknown engine %S (row, columnar)" s))
-  in
-  let print fmt = function
-    | Relalg.Row_engine -> Format.pp_print_string fmt "row"
-    | Relalg.Columnar_engine -> Format.pp_print_string fmt "columnar"
-  in
-  Arg.conv (parse, print)
-
-let engine_arg =
-  let doc =
-    "Execution engine for compiled algebra plans: $(b,columnar) (batch-at-a-time over \
-     dictionary-encoded columns, the default) or $(b,row) (tuple-at-a-time). Both produce \
-     identical answers and budget verdicts."
-  in
-  Arg.(value & opt engine_conv !Relalg.default_engine & info [ "engine" ] ~doc)
-
-let set_engine e = Relalg.default_engine := e
-
 (* --------------------------- stats profiles ------------------------- *)
 
 (* A stats profile file has one "FINGERPRINT COUNT MEAN" line per plan
@@ -272,27 +248,24 @@ let with_telemetry trace metrics f =
 
 (* Every subcommand takes the same options record through one shared
    Cmdliner term — no subcommand defines its own copy of --fuel,
-   --timeout-ms, --trace, --metrics, --engine or --stats.  Only the fuel
+   --timeout-ms, --trace, --metrics or --stats.  Only the fuel
    default varies per command. *)
 type common = {
   trace : trace_sink option;
   metrics : bool;
   fuel : int;
   timeout_ms : int option;
-  engine : Relalg.engine;
   stats_file : string option;
 }
 
 let common_opts ~default_fuel =
-  let make trace metrics fuel timeout_ms engine stats_file =
-    { trace; metrics; fuel; timeout_ms; engine; stats_file }
+  let make trace metrics fuel timeout_ms stats_file =
+    { trace; metrics; fuel; timeout_ms; stats_file }
   in
   Term.(const make $ trace_arg $ metrics_arg $ fuel_arg ~default:default_fuel
-        $ timeout_arg $ engine_arg $ stats_arg)
+        $ timeout_arg $ stats_arg)
 
-let with_common c f =
-  set_engine c.engine;
-  with_telemetry c.trace c.metrics f
+let with_common c f = with_telemetry c.trace c.metrics f
 
 let budget_of_common c = budget_of c.fuel c.timeout_ms
 
@@ -695,10 +668,6 @@ let explain_cmd =
                let (module D : Domain.S) = domain in
                Format.printf "query:   %a@." Formula.pp f;
                Format.printf "domain:  %s@." D.name;
-               Format.printf "engine:  %s@."
-                 (match common.engine with
-                 | Relalg.Row_engine -> "row"
-                 | Relalg.Columnar_engine -> "columnar");
                let schema = Schema.relations (State.schema state) in
                let safe =
                  match Safe_range.check ~schema f with

@@ -12,7 +12,7 @@
    like {!Relation}.  Every operator that could introduce duplicates
    (projection, union) re-deduplicates before returning, so per-operator
    output cardinalities — and hence budget charges and telemetry
-   histograms — coincide with the row-at-a-time engine's. *)
+   histograms — are those of the relations the plan denotes. *)
 
 module Dict = struct
   (* A dictionary is a (short) chain of layers: a shared frozen parent —

@@ -10,9 +10,9 @@
     a canonical {!Relation} sorts unboxed ints only.
 
     Every operator maintains the set-semantics invariant (logical rows
-    duplicate-free), so per-operator cardinalities match the
-    row-at-a-time engine exactly — budget charges and telemetry
-    histograms agree across engines. *)
+    duplicate-free), so per-operator cardinalities — and hence budget
+    charges and telemetry histograms — are the cardinalities of the
+    relations the plan denotes. *)
 
 module Dict : sig
   type t
@@ -89,7 +89,7 @@ val product : t -> t -> t
 
 val equijoin : (int * int) list -> t -> t -> t
 (** Hash equijoin over code columns: builds on the right operand, probes
-    with the left; output is left-major like {!Relation.equijoin}. *)
+    with the left; output is left-major. *)
 
 val union : t -> t -> t
 val diff : t -> t -> t

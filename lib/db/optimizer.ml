@@ -387,8 +387,8 @@ let rec spine_cost est p =
   | Product (q, r) | Join (_, q, r) -> est p +. spine_cost est q +. spine_cost est r
   | _ -> 0.
 
-(* Greedy left-deep reorder of one Join/Product spine.  Both engines
-   build the hash table on the {e right} operand and probe with the
+(* Greedy left-deep reorder of one Join/Product spine.  The engine
+   builds the hash table on the {e right} operand and probes with the
    left, so the accumulated prefix stays on the left (probe) and each
    added factor — picked to minimize the next intermediate — becomes a
    build side.  The original column order is restored by a final

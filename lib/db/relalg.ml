@@ -65,17 +65,6 @@ let arity_check ~schema plan =
 let no_domain_pred name _ =
   invalid_arg (Printf.sprintf "Relalg.eval: no evaluator for domain predicate %s" name)
 
-let eval_arg tup = function
-  | Col i -> List.nth tup i
-  | Const v -> v
-
-let rec eval_cond domain_pred tup = function
-  | Eq (a, b) -> Value.equal (eval_arg tup a) (eval_arg tup b)
-  | Domain_pred (p, args) -> domain_pred p (List.map (eval_arg tup) args)
-  | Not c -> not (eval_cond domain_pred tup c)
-  | And_c (a, b) -> eval_cond domain_pred tup a && eval_cond domain_pred tup b
-  | Or_c (a, b) -> eval_cond domain_pred tup a || eval_cond domain_pred tup b
-
 (* ------------------------------------------------------------------ *)
 (* Plan fingerprints                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -176,10 +165,6 @@ let node_metric fp = card_metric ^ "." ^ fp
 (* Evaluation                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type engine = Row_engine | Columnar_engine
-
-let default_engine = ref Columnar_engine
-
 module B = Fq_core.Budget
 module T = Fq_core.Telemetry
 
@@ -190,9 +175,7 @@ module T = Fq_core.Telemetry
    sees each materialization too: the per-node output-cardinality
    histograms (aggregate, and keyed by the post-optimization node
    fingerprint while a recording is active) are what the cost model's
-   stats profile is built from.  Both engines settle each operator with
-   the same fault site, charge and observations, so fault schedules,
-   budget verdicts and recorded statistics agree across engines. *)
+   stats profile is built from. *)
 let make_settle ~budget ~fps node card =
   Fq_core.Fault.hit "relalg.node";
   T.count "relalg.nodes";
@@ -209,26 +192,6 @@ let make_settle ~budget ~fps node card =
     B.charge b n;
     B.ensure_size b card
   | None -> B.charge_ambient n
-
-let eval_rows ~state ~settle ~domain_pred plan =
-  let rec go node =
-    let rel =
-      match node with
-      | Rel name -> (
-        try State.relation state name
-        with Not_found -> invalid_arg (Printf.sprintf "Relalg.eval: unknown relation %s" name))
-      | Lit r -> r
-      | Select (cond, p) -> Relation.filter (fun tup -> eval_cond domain_pred tup cond) (go p)
-      | Project (cols, p) -> Relation.map_project cols (go p)
-      | Product (p, q) -> Relation.product (go p) (go q)
-      | Join (pairs, p, q) -> Relation.equijoin pairs (go p) (go q)
-      | Union (p, q) -> Relation.union (go p) (go q)
-      | Diff (p, q) -> Relation.diff (go p) (go q)
-    in
-    settle node (Relation.cardinal rel);
-    rel
-  in
-  go plan
 
 (* The state's columnar image — its dictionary (rank-ordered over the
    active domain) and every base relation encoded through it — is built
@@ -273,7 +236,7 @@ let eval_columnar ~state ~settle ~domain_pred plan =
     | Some b -> b
     | None ->
       (* every scheme relation is in the image, so this name is outside
-         the scheme — same error as the row engine *)
+         the scheme *)
       invalid_arg (Printf.sprintf "Relalg.eval: unknown relation %s" name)
   in
   (* compile a condition to a predicate over the batch's logical rows *)
@@ -321,8 +284,8 @@ let eval_columnar ~state ~settle ~domain_pred plan =
     in
     comp cond
   in
-  (* children are evaluated right-to-left, matching the row engine's
-     argument order, so the per-site fault hit sequence is identical *)
+  (* children are evaluated right-to-left, which fixes the order of the
+     per-node fault hits and budget charges *)
   let rec go node =
     let out =
       match node with
@@ -354,18 +317,13 @@ let eval_columnar ~state ~settle ~domain_pred plan =
   in
   C.to_relation dict (go plan)
 
-let eval ~state ?budget ?engine ?(domain_pred = no_domain_pred) plan =
-  let engine = match engine with Some e -> e | None -> !default_engine in
+let eval ~state ?budget ?(domain_pred = no_domain_pred) plan =
   T.with_span "relalg.eval" (fun () ->
       (* per-node attribution only while a collector is installed: the
          disabled path stays a single ref read per settle *)
       let fps = if T.enabled () then annotate plan else [] in
       let settle = make_settle ~budget ~fps in
-      let rel =
-        match engine with
-        | Row_engine -> eval_rows ~state ~settle ~domain_pred plan
-        | Columnar_engine -> eval_columnar ~state ~settle ~domain_pred plan
-      in
+      let rel = eval_columnar ~state ~settle ~domain_pred plan in
       T.set_attr "out_card" (T.Int (Relation.cardinal rel));
       rel)
 

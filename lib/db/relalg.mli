@@ -32,7 +32,7 @@ type t =
           [Product (p, q)] whose column [i] (of [p]) equals column [j]
           (of [q]) for every [(i, j)] in [pairs]. Semantically equal to
           the corresponding [Select] over [Product]; executed as a hash
-          join ({!Relation.equijoin}). *)
+          join ({!Columnar.equijoin}). *)
   | Union of t * t
   | Diff of t * t
 
@@ -41,34 +41,25 @@ val arity_check : schema:Schema.t -> t -> (int, string) result
     ill-formed node (unknown relation, column out of range, arity
     mismatch in [Union]/[Diff]). *)
 
-type engine =
-  | Row_engine  (** tuple-at-a-time over sorted {!Row.t} arrays (the PR 1 engine) *)
-  | Columnar_engine  (** batch-at-a-time over dictionary-encoded {!Columnar} batches *)
-
-val default_engine : engine ref
-(** Engine used when {!eval} gets no explicit [?engine]; [Columnar_engine]
-    unless overridden (e.g. by the CLI's [--engine=row]). *)
-
 val eval :
   state:State.t ->
   ?budget:Fq_core.Budget.t ->
-  ?engine:engine ->
   ?domain_pred:(string -> Value.t list -> bool) ->
   t ->
   Relation.t
-(** Evaluates a plan bottom-up. [domain_pred] decides domain predicate
-    atoms in selections (defaults to rejecting every such atom with
-    [Invalid_argument]). Every operator charges one work unit plus the
-    cardinality of its result to [budget] — or, when no explicit budget is
-    given, to the ambient {!Fq_core.Budget} if one is installed — and an
-    explicit budget's cardinality cap applies to every intermediate.
+(** Evaluates a plan bottom-up, batch-at-a-time over the state's
+    dictionary-encoded {!Columnar} image. [domain_pred] decides domain
+    predicate atoms in selections (defaults to rejecting every such atom
+    with [Invalid_argument]). Every operator charges one work unit plus
+    the cardinality of its result to [budget] — or, when no explicit
+    budget is given, to the ambient {!Fq_core.Budget} if one is installed
+    — and an explicit budget's cardinality cap applies to every
+    intermediate.
 
-    Both engines produce the same canonical {!Relation}, settle each
-    operator at the same fault site ([relalg.node]) in the same order and
-    charge identical amounts (one unit plus the operator's output
-    cardinality — per batch in the columnar engine), so verdicts under a
-    shared budget and deterministic fault schedules agree across engines
-    (property-tested in [test/test_columnar.ml]).
+    Each operator settles at the fault site [relalg.node], children
+    right-to-left. Answers and budget verdicts are property-tested against
+    a naive tuple-list oracle in [test/test_columnar.ml]: the plan answers
+    iff the sum over its nodes of [1 + |node|] fits the fuel.
     @raise Invalid_argument on an ill-formed plan (see {!arity_check}).
     @raise Fq_core.Budget.Exhausted when the governing budget runs dry;
     front-ends recover with {!Fq_core.Budget.guard}. *)

@@ -101,144 +101,6 @@ let equal a b =
   let rec go i = i >= n || (Row.equal a.rows.(i) b.rows.(i) && go (i + 1)) in
   go 0
 
-let same_arity op a b =
-  if a.arity <> b.arity then
-    invalid_arg (Printf.sprintf "Relation.%s: arities %d and %d differ" op a.arity b.arity)
-
-(* merge two sorted duplicate-free arrays, keeping rows according to
-   [keep : in_a -> in_b -> bool] evaluated on each distinct row *)
-let merge keep a b =
-  let n = Array.length a and m = Array.length b in
-  let buf = ref (Array.make (max 16 (n + m)) (Row.of_array [||])) in
-  let len = ref 0 in
-  let push row =
-    if !len = Array.length !buf then begin
-      let bigger = Array.make (2 * !len) row in
-      Array.blit !buf 0 bigger 0 !len;
-      buf := bigger
-    end;
-    !buf.(!len) <- row;
-    incr len
-  in
-  let i = ref 0 and j = ref 0 in
-  while !i < n || !j < m do
-    if !i >= n then begin
-      if keep false true then push b.(!j);
-      incr j
-    end
-    else if !j >= m then begin
-      if keep true false then push a.(!i);
-      incr i
-    end
-    else
-      let c = Row.compare a.(!i) b.(!j) in
-      if c < 0 then begin
-        if keep true false then push a.(!i);
-        incr i
-      end
-      else if c > 0 then begin
-        if keep false true then push b.(!j);
-        incr j
-      end
-      else begin
-        if keep true true then push a.(!i);
-        incr i;
-        incr j
-      end
-  done;
-  Array.sub !buf 0 !len
-
-let union a b =
-  same_arity "union" a b;
-  { a with rows = merge (fun _ _ -> true) a.rows b.rows }
-
-let diff a b =
-  same_arity "diff" a b;
-  { a with rows = merge (fun ina inb -> ina && not inb) a.rows b.rows }
-
-let inter a b =
-  same_arity "inter" a b;
-  { a with rows = merge (fun ina inb -> ina && inb) a.rows b.rows }
-
-let product a b =
-  (* both sides sorted and unique, so the left-major concatenation is
-     already in canonical order with no duplicates *)
-  let n = Array.length a.rows and m = Array.length b.rows in
-  if n = 0 || m = 0 then empty ~arity:(a.arity + b.arity)
-  else begin
-    let out = Array.make (n * m) a.rows.(0) in
-    for i = 0 to n - 1 do
-      for j = 0 to m - 1 do
-        out.((i * m) + j) <- Row.concat a.rows.(i) b.rows.(j)
-      done
-    done;
-    of_sorted_rows ~arity:(a.arity + b.arity) out
-  end
-
-(* Hash equijoin: [pairs] are (left column, right column) equalities. The
-   right side is loaded into a hash table keyed by its key columns; the
-   left side probes. Output rows are left ++ right, in canonical order
-   (left-major, and each bucket preserves the right side's order). *)
-let equijoin pairs a b =
-  List.iter
-    (fun (i, j) ->
-      if i < 0 || i >= a.arity || j < 0 || j >= b.arity then
-        invalid_arg
-          (Printf.sprintf "Relation.equijoin: columns (%d,%d) of arities (%d,%d)" i j a.arity
-             b.arity))
-    pairs;
-  let arity = a.arity + b.arity in
-  if is_empty a || is_empty b then empty ~arity
-  else begin
-    let lcols = Array.of_list (List.map fst pairs) in
-    let rcols = Array.of_list (List.map snd pairs) in
-    let table = Hashtbl.create (2 * Array.length b.rows) in
-    (* bucket lists are built back-to-front so each ends up in row order *)
-    for j = Array.length b.rows - 1 downto 0 do
-      let row = b.rows.(j) in
-      let key = Row.project rcols row in
-      let bucket = try Hashtbl.find table key with Not_found -> [] in
-      Hashtbl.replace table key (row :: bucket)
-    done;
-    let buf = ref (Array.make 16 a.rows.(0)) in
-    let len = ref 0 in
-    let push row =
-      if !len = Array.length !buf then begin
-        let bigger = Array.make (2 * !len) row in
-        Array.blit !buf 0 bigger 0 !len;
-        buf := bigger
-      end;
-      !buf.(!len) <- row;
-      incr len
-    in
-    Array.iter
-      (fun la ->
-        let key = Row.project lcols la in
-        match Hashtbl.find_opt table key with
-        | None -> ()
-        | Some bucket -> List.iter (fun rb -> push (Row.concat la rb)) bucket)
-      a.rows;
-    of_sorted_rows ~arity (Array.sub !buf 0 !len)
-  end
-
-let filter p r =
-  (* filtering preserves order and uniqueness *)
-  let kept = Array.of_seq (Seq.filter (fun row -> p (Row.to_list row)) (Array.to_seq r.rows)) in
-  { r with rows = kept }
-
-let filter_rows p r =
-  let kept = Array.of_seq (Seq.filter p (Array.to_seq r.rows)) in
-  { r with rows = kept }
-
-let map_project cols r =
-  List.iter
-    (fun c ->
-      if c < 0 || c >= r.arity then
-        invalid_arg (Printf.sprintf "Relation.map_project: column %d of arity %d" c r.arity))
-    cols;
-  let cols = Array.of_list cols in
-  { arity = Array.length cols; rows = sort_uniq_rows (Array.map (Row.project cols) r.rows) }
-
 let fold f r acc = Array.fold_left (fun acc row -> f (Row.to_list row) acc) acc r.rows
 let iter f r = Array.iter (fun row -> f (Row.to_list row)) r.rows
 let exists p r = Array.exists (fun row -> p (Row.to_list row)) r.rows

@@ -7,9 +7,9 @@
     algebra requires.
 
     Internally tuples are array-backed {!Row}s with precomputed hashes,
-    stored in a sorted duplicate-free array: set operations are linear
-    merges, column access is O(1), and {!equijoin} runs as a hash join.
-    The list-based [tuple] API is preserved on top. *)
+    stored in a sorted duplicate-free array with O(1) column access. The
+    list-based [tuple] API is preserved on top. The algebra over
+    relations is {!Relalg.eval}. *)
 
 type tuple = Value.t list
 
@@ -28,35 +28,6 @@ val is_empty : t -> bool
 val mem : tuple -> t -> bool
 val add : tuple -> t -> t
 val equal : t -> t -> bool
-
-val union : t -> t -> t
-(** @raise Invalid_argument on arity mismatch (also [diff], [inter]). *)
-
-val diff : t -> t -> t
-val inter : t -> t -> t
-
-val product : t -> t -> t
-(** Cartesian product; arities add. *)
-
-val equijoin : (int * int) list -> t -> t -> t
-(** [equijoin pairs a b] is the hash equijoin: the tuples [ta ++ tb] with
-    [ta.(i) = tb.(j)] for every [(i, j)] in [pairs]. Equivalent to
-    selecting those equalities over [product a b], but executed by
-    hashing the (smaller) right side on its key columns and probing with
-    the left — O(|a| + |b| + output) expected.
-    @raise Invalid_argument on an out-of-range column. *)
-
-val filter : (tuple -> bool) -> t -> t
-(** Keeps the tuples satisfying the predicate. *)
-
-val filter_rows : (Row.t -> bool) -> t -> t
-(** Like {!filter} but over the array-backed rows, avoiding the
-    per-tuple list conversion on hot paths. *)
-
-val map_project : int list -> t -> t
-(** [map_project [i1; ...; ik] r] keeps columns [i1..ik] (0-based), in the
-    given order, deduplicating the result. Column indices may repeat.
-    @raise Invalid_argument on an out-of-range column. *)
 
 val fold : (tuple -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (tuple -> unit) -> t -> unit
@@ -81,7 +52,7 @@ val mem_row : Row.t -> t -> bool
 
 val of_sorted_rows : arity:int -> Row.t array -> t
 (** Adopts an array the caller guarantees is already sorted ascending by
-    [Row.compare] and duplicate-free — the engines' fast path out of an
+    [Row.compare] and duplicate-free — the columnar engine's fast path out of an
     order-preserving pipeline (no check is performed; a violated
     precondition breaks {!equal} and {!mem}). *)
 

@@ -42,10 +42,6 @@ let compare a b =
   in
   go 0
 
-let concat a b = of_array (Array.append a.cells b.cells)
-
-let project cols r = of_array (Array.map (fun c -> r.cells.(c)) cols)
-
 let pp fmt r =
   Format.fprintf fmt "(%a)"
     (Format.pp_print_seq

@@ -1,9 +1,8 @@
 (** Array-backed tuples with a precomputed hash.
 
-    Rows are the execution engine's internal tuple representation: column
-    access is O(1) (unlike the [Value.t list] tuples of the public
-    {!Relation} API) and the hash computed at construction makes rows
-    cheap hash-table keys for hash joins and duplicate elimination. *)
+    Rows are {!Relation}'s internal tuple representation: column access is
+    O(1) (unlike the [Value.t list] tuples of the public {!Relation} API)
+    and the hash computed at construction lets equality reject early. *)
 
 type t
 
@@ -38,9 +37,5 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 (** Lexicographic by {!Value.compare} — the canonical relation order. *)
-
-val concat : t -> t -> t
-val project : int array -> t -> t
-(** [project cols r] keeps the listed columns, in order (repeats allowed). *)
 
 val pp : Format.formatter -> t -> unit

@@ -60,7 +60,12 @@ type t = {
   mutable j_fd : Unix.file_descr;
   mutable j_appended : int;
   mutable j_closed : bool;
+  mutable j_resets : int;
 }
+
+(* A byte offset into the file as of [m_resets] resets: a later reset
+   rewrote the file, so the offset no longer points at a record start. *)
+type mark = { m_resets : int; m_offset : int }
 
 type recovery = { applied : int; skipped : int; truncated_bytes : int }
 
@@ -126,7 +131,7 @@ let open_append path =
         failwith "short write on journal header"
       end
     end;
-    Ok { j_path = path; j_fd = fd; j_appended = 0; j_closed = false }
+    Ok { j_path = path; j_fd = fd; j_appended = 0; j_closed = false; j_resets = 0 }
   with
   | Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "journal: cannot open %s: %s" path (Unix.error_message e))
@@ -163,14 +168,14 @@ let path t = t.j_path
 let appended t = t.j_appended
 
 (* The one rewrite: snapshots, and compaction of a journal down to its
-   header, publish a whole file at once.  Write-to-temp + rename keeps a
+   tail, publish a whole file at once.  Write-to-temp + rename keeps a
    valid file at [path] at every instant. *)
-let write path records =
+let publish path emit =
   let tmp = path ^ ".tmp" in
   match
     Out_channel.with_open_bin tmp (fun oc ->
         output_string oc (header ^ "\n");
-        List.iter (fun payload -> output_string oc (frame payload)) records);
+        emit oc);
     Sys.rename tmp path
   with
   | () -> Ok ()
@@ -178,21 +183,45 @@ let write path records =
     (try Sys.remove tmp with Sys_error _ -> ());
     Error (Printf.sprintf "journal: write: %s" e)
 
-(* Compaction: the cache was just snapshotted, so the journal's records
-   are redundant — swap in a fresh header-only file.  The fd must be
-   reopened because the rename detaches the old inode. *)
-let reset t =
+let write path records =
+  publish path (fun oc -> List.iter (fun payload -> output_string oc (frame payload)) records)
+
+let mark t =
+  { m_resets = t.j_resets;
+    m_offset = (try (Unix.fstat t.j_fd).Unix.st_size with Unix.Unix_error _ -> 0) }
+
+(* The framed records appended after [since], verbatim. *)
+let tail t since =
+  let from =
+    if since.m_resets = t.j_resets then since.m_offset else String.length header + 1
+  in
+  In_channel.with_open_bin t.j_path (fun ic ->
+      let len = Int64.to_int (In_channel.length ic) in
+      if from >= len then ""
+      else begin
+        In_channel.seek ic (Int64.of_int from);
+        really_input_string ic (len - from)
+      end)
+
+(* Compaction: the cache was just snapshotted, so the records before
+   [since] are redundant — swap in a file holding only the rest.  The fd
+   must be reopened because the rename detaches the old inode. *)
+let reset t ~since =
   if t.j_closed then Error "journal: closed"
   else
     match Fq_core.Fault.hit "journal.rotate" with
     | exception e -> Error (Printf.sprintf "journal: injected fault: %s" (Printexc.to_string e))
     | () -> (
-      Result.bind (write t.j_path []) @@ fun () ->
-      (try Unix.close t.j_fd with Unix.Unix_error _ -> ());
-      match Unix.openfile t.j_path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 with
-      | fd ->
-        t.j_fd <- fd;
-        Ok ()
-      | exception Unix.Unix_error (e, _, _) ->
-        t.j_closed <- true;
-        Error (Printf.sprintf "journal: reset: %s" (Unix.error_message e)))
+      match tail t since with
+      | exception Sys_error e -> Error (Printf.sprintf "journal: reset: %s" e)
+      | kept -> (
+        Result.bind (publish t.j_path (fun oc -> output_string oc kept)) @@ fun () ->
+        t.j_resets <- t.j_resets + 1;
+        (try Unix.close t.j_fd with Unix.Unix_error _ -> ());
+        match Unix.openfile t.j_path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 with
+        | fd ->
+          t.j_fd <- fd;
+          Ok ()
+        | exception Unix.Unix_error (e, _, _) ->
+          t.j_closed <- true;
+          Error (Printf.sprintf "journal: reset: %s" (Unix.error_message e))))

@@ -74,12 +74,23 @@ val write : string -> string list -> (unit, string) result
     one framed record per payload, in order (temp file + rename: a
     failed write leaves any existing file byte-identical). *)
 
-val reset : t -> (unit, string) result
-(** [write] the journal's path with no records and reopen it for
-    appending — the compaction step, after the cache has been
-    snapshotted.  If the rewrite fails the old journal is left in place
-    (its records are then replayed twice at the next boot, which is
-    idempotent); if only the reopen fails the handle is closed. *)
+type mark
+(** A position in the journal: the records appended after it. *)
+
+val mark : t -> mark
+(** The current end of the journal.  Take it under the same lock as
+    {!append}, before the cache walk of a snapshot that {!reset} will
+    then compact against. *)
+
+val reset : t -> since:mark -> (unit, string) result
+(** Atomically rewrite the journal's path with only the records appended
+    after [since] and reopen it for appending — the compaction step,
+    after the cache has been snapshotted.  A verdict journaled while the
+    snapshot was being written may be missing from it, so it stays in
+    the journal.  If another reset came between the mark and this one,
+    every record is kept.  Records in both files replay idempotently.
+    If the rewrite fails the old journal is left in place; if only the
+    reopen fails the handle is closed. *)
 
 val sync : t -> unit
 (** [fsync] the journal file descriptor. *)

@@ -198,20 +198,7 @@ let reg_count_unlocked reg name n =
   | Some r -> r := !r + n
   | None -> Hashtbl.add reg.r_counters name (ref n)
 
-let reg_observe_unlocked reg name v =
-  match Hashtbl.find_opt reg.r_hists name with
-  | Some h ->
-    h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum +. v;
-    if v < h.h_min then h.h_min <- v;
-    if v > h.h_max then h.h_max <- v
-  | None ->
-    if Hashtbl.length reg.r_hists >= reg_key_cap then
-      reg_count_unlocked reg "serve.registry_dropped_keys" 1
-    else Hashtbl.add reg.r_hists name { h_count = 1; h_sum = v; h_min = v; h_max = v }
-
 let reg_count reg ?(n = 1) name = reg_locked reg (fun () -> reg_count_unlocked reg name n)
-let reg_observe reg name v = reg_locked reg (fun () -> reg_observe_unlocked reg name v)
 
 (* labeled service metrics; labels are canonicalized (sorted) so the key
    is independent of call-site argument order *)
@@ -490,13 +477,18 @@ let journal_record srv key value =
       then Atomic.set srv.needs_compact true
     | Error _ -> reg_count srv.reg "serve.journal_errors")
 
-let reset_journal srv =
+let journal_mark srv =
   Mutex.lock srv.jlock;
   Fun.protect ~finally:(fun () -> Mutex.unlock srv.jlock) @@ fun () ->
-  match srv.journal with
-  | None -> ()
-  | Some j -> (
-    match Journal.reset j with
+  Option.map Journal.mark srv.journal
+
+let reset_journal srv since =
+  Mutex.lock srv.jlock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock srv.jlock) @@ fun () ->
+  match (srv.journal, since) with
+  | None, _ | _, None -> ()
+  | Some j, Some since -> (
+    match Journal.reset j ~since with
     | Ok () -> Atomic.set srv.japps 0
     | Error e ->
       reg_count srv.reg "serve.journal_errors";
@@ -719,8 +711,6 @@ let handle_eval srv job ~id ~domain ~formula ~fuel ~timeout_ms ~resume ~trace =
     merge_report srv.reg treport;
     reg_count srv.reg "serve.requests";
     reg_count srv.reg ("serve.eval." ^ status);
-    reg_observe srv.reg "serve.latency_ms" elapsed;
-    reg_observe srv.reg "serve.ticks" (float_of_int ticks);
     (* always-on labeled aggregation (log-bucketed; ~an array increment) *)
     reg_lcount srv.reg "fq_requests_total" [ ("op", "eval") ];
     reg_lcount srv.reg "fq_eval_outcomes_total"
@@ -911,16 +901,21 @@ let health_fields srv =
    same temp+rename. *)
 let snapshot_writable cfg = cfg.snapshot <> None && not cfg.snapshot_read_only
 
-(* A successful snapshot subsumes the journal: reset it so recovery
-   never replays records the snapshot already holds (replaying them
-   would be idempotent, just wasted boot time). *)
+(* A successful snapshot subsumes the journal up to the mark taken
+   before its cache walk: reset the journal to the records appended
+   since, which the walk may have missed, so recovery never replays
+   records the snapshot already holds (replaying them would be
+   idempotent, just wasted boot time) and never loses a late one.  Only
+   the mark and the reset hold the journal lock, so appends do not stall
+   for the save. *)
 let save_snapshot srv =
   if not (snapshot_writable srv.cfg) then Ok 0
   else
+    let since = journal_mark srv in
     match Decide_cache.save srv.cache (Option.get srv.cfg.snapshot) with
     | Ok n ->
       Atomic.set srv.last_save (Unix.gettimeofday ());
-      reset_journal srv;
+      reset_journal srv since;
       Ok n
     | Error _ as e -> e
 

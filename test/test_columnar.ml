@@ -1,8 +1,7 @@
-(* Engine-equivalence properties (PR 6): the columnar batch engine must
-   be observationally identical to the row engine — same canonical
-   answer on every well-formed plan, and, because both engines charge
-   the budget the same amounts in the same operator order, the same
-   complete-vs-exhausted verdict under any shared fuel budget.
+(* Oracle properties for the columnar engine: on every well-formed plan
+   [Relalg.eval] returns the answer of a naive tuple-list evaluator, and
+   under a fuel budget it answers exactly when the oracle's per-node
+   charge fits the fuel.
 
    The generators mirror test_optimizer.ml: arity-directed random plans
    over the schema A/1 B/2 C/3 with random small states, so
@@ -114,9 +113,8 @@ let gen_scenario =
 
 let print_scenario (plan, _state) = Format.asprintf "%a" Relalg.pp plan
 
-(* Domain predicates reach the columnar engine through the same per-row
-   callback as the row engine; interpret "<" over ints so random plans
-   can exercise that path too. *)
+(* Domain predicates reach the engine through a per-row callback;
+   interpret "<" over ints so random plans can exercise that path too. *)
 let gen_dp_cond arity =
   if arity = 0 then QCheck.Gen.return None
   else
@@ -131,30 +129,81 @@ let domain_pred name vals =
   | _ -> invalid_arg name
 
 (* ------------------------------------------------------------------ *)
+(* Naive oracle                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Each operator exactly as relalg.mli defines it, over plain tuple
+   lists: [Join] is [Select] over [Product], [Project] and the set
+   operations dedup.  Returns the answer and [cost], the sum over the
+   plan's nodes of 1 + |node| — what [Relalg.eval] charges the budget. *)
+let oracle ?(domain_pred = domain_pred) ~state plan =
+  let module R = Relalg in
+  let cost = ref 0 in
+  let dedup = List.sort_uniq (List.compare Value.compare) in
+  let mem t ts = List.exists (List.equal Value.equal t) ts in
+  let arg t = function R.Col i -> List.nth t i | R.Const v -> v in
+  let rec holds t = function
+    | R.Eq (a, b) -> Value.equal (arg t a) (arg t b)
+    | R.Domain_pred (p, args) -> domain_pred p (List.map (arg t) args)
+    | R.Not c -> not (holds t c)
+    | R.And_c (c, d) -> holds t c && holds t d
+    | R.Or_c (c, d) -> holds t c || holds t d
+  in
+  let product ts us = List.concat_map (fun t -> List.map (fun u -> t @ u) us) ts in
+  let rec go node =
+    let arity, ts =
+      match node with
+      | R.Rel name ->
+        let r = State.relation state name in
+        (Relation.arity r, Relation.tuples r)
+      | R.Lit r -> (Relation.arity r, Relation.tuples r)
+      | R.Select (c, p) ->
+        let a, ts = go p in
+        (a, List.filter (fun t -> holds t c) ts)
+      | R.Project (cols, p) ->
+        let _, ts = go p in
+        (List.length cols, dedup (List.map (fun t -> List.map (List.nth t) cols) ts))
+      | R.Product (p, q) ->
+        let (a, ts), (b, us) = (go p, go q) in
+        (a + b, product ts us)
+      | R.Join (pairs, p, q) ->
+        let (a, ts), (b, us) = (go p, go q) in
+        let on t = List.for_all (fun (i, j) -> holds t (R.Eq (R.Col i, R.Col (a + j)))) pairs in
+        (a + b, List.filter on (product ts us))
+      | R.Union (p, q) ->
+        let (a, ts), (_, us) = (go p, go q) in
+        (a, dedup (ts @ us))
+      | R.Diff (p, q) ->
+        let (a, ts), (_, us) = (go p, go q) in
+        (a, List.filter (fun t -> not (mem t us)) ts)
+    in
+    cost := !cost + 1 + List.length ts;
+    (arity, ts)
+  in
+  let arity, ts = go plan in
+  (Relation.make ~arity ts, !cost)
+
+let oracle_answer ?domain_pred ~state plan = fst (oracle ?domain_pred ~state plan)
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let prop_engines_agree =
-  QCheck.Test.make ~name:"row and columnar engines produce equal answers" ~count:600
+let prop_oracle_agrees =
+  QCheck.Test.make ~name:"answers equal the naive oracle's" ~count:600
     (QCheck.make ~print:print_scenario gen_scenario)
-    (fun (plan, state) ->
-      Relation.equal
-        (Relalg.eval ~state ~engine:Relalg.Row_engine plan)
-        (Relalg.eval ~state ~engine:Relalg.Columnar_engine plan))
+    (fun (plan, state) -> Relation.equal (oracle_answer ~state plan) (Relalg.eval ~state plan))
 
-let prop_engines_agree_optimized =
-  QCheck.Test.make
-    ~name:"engines agree on cost-optimized plans (stats from the state)" ~count:400
+let prop_oracle_agrees_optimized =
+  QCheck.Test.make ~name:"oracle agrees on optimized plans" ~count:400
     (QCheck.make ~print:print_scenario gen_scenario)
     (fun (plan, state) ->
       let stats = Optimizer.Stats.of_state state in
       let opt = Optimizer.optimize_for ~stats ~schema plan in
-      Relation.equal
-        (Relalg.eval ~state ~engine:Relalg.Row_engine plan)
-        (Relalg.eval ~state ~engine:Relalg.Columnar_engine opt))
+      Relation.equal (oracle_answer ~state plan) (Relalg.eval ~state opt))
 
-let prop_engines_agree_domain_pred =
-  QCheck.Test.make ~name:"engines agree on domain-predicate selections" ~count:400
+let prop_oracle_agrees_domain_pred =
+  QCheck.Test.make ~name:"oracle agrees on domain predicates" ~count:400
     (QCheck.make
        ~print:(fun ((plan, _), _) -> Format.asprintf "%a" Relalg.pp plan)
        QCheck.Gen.(
@@ -168,41 +217,27 @@ let prop_engines_agree_domain_pred =
         match cond with None -> plan | Some c -> Relalg.Select (c, plan)
       in
       Relation.equal
-        (Relalg.eval ~state ~engine:Relalg.Row_engine ~domain_pred plan)
-        (Relalg.eval ~state ~engine:Relalg.Columnar_engine ~domain_pred plan))
+        (oracle_answer ~domain_pred ~state plan)
+        (Relalg.eval ~state ~domain_pred plan))
 
-(* Verdict agreement: both engines charge one unit plus the output
-   cardinality per operator, in the same bottom-up order, so under any
-   shared fuel level they either both finish (with equal answers and
-   equal remaining fuel) or both trip the governor. *)
-type verdict =
-  | Answered of Relation.t
-  | Tripped of Budget.failure
-
-let run_with_fuel engine ~state ~fuel plan =
-  let budget = Budget.make ~fuel () in
-  match Budget.guard budget (fun () -> Relalg.eval ~state ~budget ~engine plan) with
-  | Ok r -> Answered r
-  | Error f -> Tripped f
-
-let verdicts_equal a b =
-  match (a, b) with
-  | Answered r, Answered r' -> Relation.equal r r'
-  | Tripped _, Tripped _ -> true
-  | _ -> false
-
+(* Budget.charge trips once spent exceeds the fuel, and every node
+   charges 1 + |node|: so the engine answers (with the oracle's answer)
+   iff the oracle's cost fits the fuel, and trips Fuel_exhausted
+   otherwise. *)
 let print_fuel_scenario ((plan, _state), fuel) =
   Format.asprintf "fuel=%d %a" fuel Relalg.pp plan
 
-let prop_verdicts_agree_under_budget =
-  QCheck.Test.make
-    ~name:"engines settle the same verdict under a shared fuel budget" ~count:600
+let prop_fuel_verdict_exact =
+  QCheck.Test.make ~name:"fuel verdict matches oracle cost" ~count:600
     (QCheck.make ~print:print_fuel_scenario
        QCheck.Gen.(pair gen_scenario (int_range 0 60)))
     (fun ((plan, state), fuel) ->
-      verdicts_equal
-        (run_with_fuel Relalg.Row_engine ~state ~fuel plan)
-        (run_with_fuel Relalg.Columnar_engine ~state ~fuel plan))
+      let expected, cost = oracle ~state plan in
+      let budget = Budget.make ~fuel () in
+      match Budget.guard budget (fun () -> Relalg.eval ~state ~budget plan) with
+      | Ok r -> cost <= fuel && Relation.equal r expected
+      | Error Budget.Fuel_exhausted -> cost > fuel
+      | Error _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic columnar kernel checks                                *)
@@ -241,10 +276,10 @@ let test_permutation_projection () =
 let () =
   Alcotest.run "columnar"
     [ ( "equivalence",
-        [ QCheck_alcotest.to_alcotest prop_engines_agree;
-          QCheck_alcotest.to_alcotest prop_engines_agree_optimized;
-          QCheck_alcotest.to_alcotest prop_engines_agree_domain_pred;
-          QCheck_alcotest.to_alcotest prop_verdicts_agree_under_budget ] );
+        [ QCheck_alcotest.to_alcotest prop_oracle_agrees;
+          QCheck_alcotest.to_alcotest prop_oracle_agrees_optimized;
+          QCheck_alcotest.to_alcotest prop_oracle_agrees_domain_pred;
+          QCheck_alcotest.to_alcotest prop_fuel_verdict_exact ] );
       ( "kernels",
         [ Alcotest.test_case "relation round-trip" `Quick test_roundtrip;
           Alcotest.test_case "projection deduplicates" `Quick test_projection_dedups;

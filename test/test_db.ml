@@ -48,21 +48,27 @@ let test_relation_basics () =
     (Invalid_argument "Relation: tuple of length 1 in relation of arity 2") (fun () ->
       ignore (Relation.make ~arity:2 [ [ v 1 ] ]))
 
+(* The algebra over relations is Relalg.eval; these pin its operator
+   semantics on literal plans. *)
+let eval_lit plan = Relalg.eval ~state plan
+
 let test_relation_ops () =
   let r1 = Relation.make ~arity:1 [ [ v 1 ]; [ v 2 ] ] in
   let r2 = Relation.make ~arity:1 [ [ v 2 ]; [ v 3 ] ] in
+  let a = Relalg.Lit r1 and b = Relalg.Lit r2 in
   Alcotest.check rel "union" (Relation.make ~arity:1 [ [ v 1 ]; [ v 2 ]; [ v 3 ] ])
-    (Relation.union r1 r2);
-  Alcotest.check rel "diff" (Relation.make ~arity:1 [ [ v 1 ] ]) (Relation.diff r1 r2);
-  Alcotest.check rel "inter" (Relation.make ~arity:1 [ [ v 2 ] ]) (Relation.inter r1 r2);
-  Alcotest.(check int) "product arity" 2 (Relation.arity (Relation.product r1 r2));
-  Alcotest.(check int) "product size" 4 (Relation.cardinal (Relation.product r1 r2));
+    (eval_lit (Relalg.Union (a, b)));
+  Alcotest.check rel "diff" (Relation.make ~arity:1 [ [ v 1 ] ]) (eval_lit (Relalg.Diff (a, b)));
+  Alcotest.check rel "inter" (Relation.make ~arity:1 [ [ v 2 ] ])
+    (eval_lit (Relalg.Diff (a, Relalg.Diff (a, b))));
+  Alcotest.(check int) "product arity" 2 (Relation.arity (eval_lit (Relalg.Product (a, b))));
+  Alcotest.(check int) "product size" 4 (Relation.cardinal (eval_lit (Relalg.Product (a, b))));
   Alcotest.check rel "project column 1"
     (Relation.make ~arity:1 [ [ s "cain" ]; [ s "abel" ]; [ s "enoch" ] ])
-    (Relation.map_project [ 1 ] father_rel);
+    (eval_lit (Relalg.Project ([ 1 ], Relalg.Lit father_rel)));
   Alcotest.check rel "project duplicate columns"
     (Relation.make ~arity:2 [ [ v 1; v 1 ]; [ v 2; v 2 ] ])
-    (Relation.map_project [ 0; 0 ] r1);
+    (eval_lit (Relalg.Project ([ 0; 0 ], a)));
   Alcotest.(check int) "nullary true" 1 (Relation.cardinal (Relation.make ~arity:0 [ [] ]))
 
 let test_relation_values () =
@@ -81,15 +87,18 @@ let test_relation_rows () =
     (Row.hash (Row.of_list [ v 1; v 2 ]) = Row.hash rows.(0))
 
 let test_relation_equijoin () =
-  let a = Relation.make ~arity:2 [ [ v 1; v 2 ]; [ v 2; v 3 ]; [ v 5; v 9 ] ] in
-  let b = Relation.make ~arity:2 [ [ v 2; v 7 ]; [ v 3; v 8 ] ] in
+  let a = Relalg.Lit (Relation.make ~arity:2 [ [ v 1; v 2 ]; [ v 2; v 3 ]; [ v 5; v 9 ] ]) in
+  let b = Relalg.Lit (Relation.make ~arity:2 [ [ v 2; v 7 ]; [ v 3; v 8 ] ]) in
   Alcotest.check rel "equijoin on a.1 = b.0"
     (Relation.make ~arity:4 [ [ v 1; v 2; v 2; v 7 ]; [ v 2; v 3; v 3; v 8 ] ])
-    (Relation.equijoin [ (1, 0) ] a b);
-  Alcotest.check rel "no pairs degenerates to product" (Relation.product a b)
-    (Relation.equijoin [] a b);
+    (eval_lit (Relalg.Join ([ (1, 0) ], a, b)));
+  Alcotest.check rel "no pairs degenerates to product"
+    (Relation.make ~arity:4
+       [ [ v 1; v 2; v 2; v 7 ]; [ v 1; v 2; v 3; v 8 ]; [ v 2; v 3; v 2; v 7 ];
+         [ v 2; v 3; v 3; v 8 ]; [ v 5; v 9; v 2; v 7 ]; [ v 5; v 9; v 3; v 8 ] ])
+    (eval_lit (Relalg.Join ([], a, b)));
   Alcotest.(check bool) "disjoint keys join empty" true
-    (Relation.is_empty (Relation.equijoin [ (0, 1) ] a b))
+    (Relation.is_empty (eval_lit (Relalg.Join ([ (0, 1) ], a, b))))
 
 (* ------------------------------ state ------------------------------ *)
 

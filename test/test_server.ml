@@ -323,7 +323,7 @@ let test_journal_reset () =
         | Ok () -> ()
         | Error e -> Alcotest.failf "append: %s" e)
       [ "one"; "two" ];
-    (match Journal.reset j with
+    (match Journal.reset j ~since:(Journal.mark j) with
     | Ok () -> ()
     | Error e -> Alcotest.failf "reset: %s" e);
     (match Journal.append j "three" with
@@ -333,6 +333,30 @@ let test_journal_reset () =
   let r, got = recover_all p in
   Alcotest.(check (list string)) "only post-reset records" [ "three" ] got;
   Alcotest.(check int) "applied" 1 r.Journal.applied;
+  Sys.remove p
+
+let test_journal_reset_since () =
+  let p = fresh_journal () in
+  let append j x =
+    match Journal.append j x with Ok () -> () | Error e -> Alcotest.failf "append: %s" e
+  in
+  let reset ~since j =
+    match Journal.reset j ~since with Ok () -> () | Error e -> Alcotest.failf "reset: %s" e
+  in
+  (match Journal.open_append p with
+  | Error e -> Alcotest.failf "open_append: %s" e
+  | Ok j ->
+    append j "one";
+    let m = Journal.mark j in
+    append j "two";
+    reset ~since:m j;
+    Alcotest.(check (list string)) "records after the mark" [ "two" ] (snd (recover_all p));
+    (* a mark from before another reset no longer names a record start *)
+    append j "three";
+    reset ~since:m j;
+    Alcotest.(check (list string)) "stale mark keeps every record" [ "two"; "three" ]
+      (snd (recover_all p));
+    Journal.close j);
   Sys.remove p
 
 let test_journal_not_a_journal () =
@@ -372,7 +396,7 @@ let test_journal_fault_containment () =
         (match Journal.append j "three" with
         | Ok () -> ()
         | Error e -> Alcotest.failf "append three: %s" e);
-        (match Journal.reset j with
+        (match Journal.reset j ~since:(Journal.mark j) with
         | Error _ -> () (* the injected torn rename: the old journal survives *)
         | Ok () -> Alcotest.fail "rotate hit 1 must fault");
         (match Journal.append j "four" with
@@ -509,7 +533,7 @@ let prop_journal_chaos =
           | Ok j ->
             for i = 1 to n do
               (if i = (n / 2) + 1 then
-                 match Journal.reset j with
+                 match Journal.reset j ~since:(Journal.mark j) with
                  | Ok () -> expected := [] (* compaction emptied the file *)
                  | Error _ -> () (* torn rename: old records still stand *));
               let p = Printf.sprintf "record\t%d" i in
@@ -979,6 +1003,71 @@ let test_serve_budgets_per_seat () =
   Alcotest.(check int) "fuel request charged only its own budget" 2_001 fuel_ticks;
   Alcotest.(check bool) "deadline request stopped well short of its fuel" true
     (deadline_ticks < 500_000)
+
+(* ---------------------- compaction vs late verdicts ------------------ *)
+
+(* A verdict journaled after a save's cache walk is not in that snapshot,
+   so the journal reset that follows the save must keep it: otherwise a
+   kill -9 before the next save loses it.  The snapshot's temp file is a
+   FIFO and the snapshot outgrows a pipe buffer, so the save blocks
+   between its walk and its publish while the test decides one more
+   sentence; the test then drains the FIFO and recovers from what a
+   crash at that moment leaves: the published snapshot plus the
+   journal. *)
+let test_compaction_keeps_late_verdicts () =
+  let snap = fresh_journal () in
+  let jpath = snap ^ ".journal" in
+  (* ~2 MB of snapshot: more than a pipe buffers, so the save blocks *)
+  let filler = Decide_cache.create ~capacity:4096 () in
+  for i = 0 to 1999 do
+    Decide_cache.restore filler
+      (Fq_logic.Parser.formula_exn (Printf.sprintf "exists x. x = %d" i))
+      (Error (String.make 1000 'e'))
+  done;
+  (match Decide_cache.save filler snap with
+  | Ok 2000 -> ()
+  | Ok n -> Alcotest.failf "filler saved %d entries" n
+  | Error e -> Alcotest.failf "filler save: %s" e);
+  Unix.mkfifo (snap ^ ".tmp") 0o600;
+  let cfg = { (base_config (fresh_addr ())) with snapshot = Some snap } in
+  let late = "forall x. exists y. x < y" in
+  let published, journal =
+    with_server cfg @@ fun c ->
+    let saver =
+      Thread.create
+        (fun () ->
+          match Client.connect ~retries:50 ~delay_ms:20 cfg.Server.addr with
+          | Error e -> Alcotest.failf "connect: %s" e
+          | Ok c2 ->
+            ignore (Client.request c2 (Protocol.Snapshot { id = "s" }));
+            Client.close c2)
+        ()
+    in
+    (* opening the read end returns once the save has walked the cache
+       and opened its temp file *)
+    let ic = open_in_bin (snap ^ ".tmp") in
+    (match Client.request c (eval_req ~domain:"presburger" "late" late) with
+    | Ok (_, Protocol.R_outcome { verdict = Complete _; _ }) -> ()
+    | Ok _ -> Alcotest.fail "late eval: expected complete"
+    | Error e -> Alcotest.failf "late eval: %s" e);
+    let published = In_channel.input_all ic in
+    close_in ic;
+    Thread.join saver;
+    (published, read_file jpath)
+  in
+  let crashed = fresh_journal () in
+  write_file crashed published;
+  write_file jpath journal;
+  let recovered = Decide_cache.create ~capacity:4096 () in
+  List.iter
+    (fun path ->
+      match Decide_cache.load recovered path with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "load %s: %s" path e)
+    [ crashed; jpath ];
+  Alcotest.(check bool) "the late verdict survives in snapshot + journal" true
+    (Decide_cache.decide recovered poisoned (Fq_logic.Parser.formula_exn late) = Ok true);
+  List.iter Sys.remove [ snap; jpath; crashed ]
 
 (* ------------------- snapshot save fault containment ----------------- *)
 
@@ -1451,6 +1540,8 @@ let () =
           Alcotest.test_case "torn tail truncated in place" `Quick test_journal_torn_tail;
           Alcotest.test_case "corrupt record skipped" `Quick test_journal_corrupt_record;
           Alcotest.test_case "reset compacts atomically" `Quick test_journal_reset;
+          Alcotest.test_case "reset keeps the records after a mark" `Quick
+            test_journal_reset_since;
           Alcotest.test_case "wrong header refused, missing file empty" `Quick
             test_journal_not_a_journal;
           Alcotest.test_case "armed faults leave a valid prefix" `Quick
@@ -1486,6 +1577,8 @@ let () =
             test_serve_oversized_line;
           Alcotest.test_case "failed snapshot save leaves the old snapshot intact" `Quick
             test_snapshot_save_fault_containment;
+          Alcotest.test_case "compaction keeps verdicts journaled during a save" `Quick
+            test_compaction_keeps_late_verdicts;
           Alcotest.test_case "half-closed socket classified transient and retried" `Quick
             test_run_jobs_halfclosed_retry;
           Alcotest.test_case "SIGTERM drains the in-flight request" `Quick

@@ -35,28 +35,12 @@ val close : t -> unit
 (** {1 Multi-endpoint mode}
 
     Against an [fq fleet], a client is only as available as its ability
-    to walk away from a dead worker.  {!discover} asks any address for
-    the topology; {!run_jobs} spreads pipelined eval jobs across the
-    live workers and fails jobs over — carrying their resume tokens —
-    when a connection dies, so [kill -9] of a worker mid-batch costs
-    retries, not answers. *)
-
-val transient_error : string -> bool
-(** Is this error a connection-level fault (ECONNRESET / EPIPE /
-    connect-refused / peer EOF) that failing over to another worker can
-    cure — as opposed to a protocol or evaluation error the server
-    actually answered with? *)
-
-val discover :
-  ?retries:int ->
-  ?delay_ms:int ->
-  ?timeout_ms:int ->
-  Server.addr ->
-  (bool * Server.addr list, string) result
-(** [discover addr] sends [fleet-status] and returns
-    [(is_fleet, live worker addresses)].  A lone [fq serve] answers
-    [(false, [itself])]; a peer that predates the op degrades to
-    [(false, [addr])].  Connect parameters as in {!connect}. *)
+    to walk away from a dead worker.  {!run_jobs} asks the given address
+    for the topology ([fleet-status]; a lone [fq serve] lists only
+    itself), spreads pipelined eval jobs across the live workers and
+    fails jobs over — carrying their resume tokens — when a connection
+    dies, so [kill -9] of a worker mid-batch costs retries, not
+    answers. *)
 
 type eval_job = {
   domain : string option;

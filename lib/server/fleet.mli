@@ -36,7 +36,7 @@
     [fq_fleet_restarts_total{worker}], [fq_journal_compactions_total],
     [fq_snapshot_last_save_timestamp_seconds], ...), [traces] (always
     empty: tracing happens on the workers), [fleet-status] (the live
-    topology clients discover workers from — see {!Client.discover}),
+    topology clients discover workers from — see {!Client.run_jobs}),
     [reload], [snapshot], and [shutdown].  Evaluation requests are
     refused, under their own id, with a pointer at the workers: queries
     go to workers, fleet management goes to the parent.  Connections

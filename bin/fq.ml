@@ -111,7 +111,8 @@ let stats_arg =
   let doc =
     "Feed the cost-based optimizer a stats profile (FINGERPRINT COUNT MEAN lines, as \
      written by $(b,fq explain --stats-out)): profiled nodes use their observed output \
-     cardinality instead of the textbook estimate."
+     cardinality instead of the textbook estimate. Refused by $(b,fq serve) and \
+     $(b,fq fleet), whose stats follow each reloaded state."
   in
   Arg.(value & opt (some string) None & info [ "stats" ] ~docv:"FILE" ~doc)
 
@@ -1191,6 +1192,14 @@ let serve_opts =
       journal state_file trace_sample slow_ms slow_log metrics_file =
     ( common,
       fun cmd ->
+        (* a profile describes one state; an epoch's stats are rebuilt from
+           its own state at every reload *)
+        Result.bind
+          (match common.stats_file with
+          | Some _ ->
+            Error (cmd ^ ": --stats is not supported: each epoch's stats follow its state")
+          | None -> Ok ())
+        @@ fun () ->
         Result.bind
           (match state_file with
           | Some path -> Codec.load_state path
@@ -1204,7 +1213,6 @@ let serve_opts =
           | None, None ->
             Error (cmd ^ ": an address is required (--socket PATH or --port PORT)"))
         @@ fun addr ->
-        Result.bind (load_stats state common.stats_file) @@ fun stats ->
         let (module D : Domain.S) = domain in
         let base = Server.default_config ~state addr in
         Ok
@@ -1222,8 +1230,7 @@ let serve_opts =
             default_fuel = common.fuel;
             max_fuel = max base.Server.max_fuel common.fuel;
             default_timeout_ms = common.timeout_ms;
-            default_domain = D.name;
-            stats = (match stats with Some s -> s | None -> base.Server.stats) } )
+            default_domain = D.name } )
   in
   let socket =
     Arg.(value & opt (some string) None

@@ -816,6 +816,174 @@ let equijoin pairs a b =
     end
   end
 
+(* ---------------------------- access paths ---------------------------- *)
+
+(* A per-column index over a base batch, in CSR form: storage codes are
+   dense ranks [0, codes), so the postings of code [k] are
+   [rows.(offsets.(k)) .. rows.(offsets.(k + 1) - 1)], physical row ids
+   in ascending order.  Codes at or above [codes] (overlay values) have
+   no postings. *)
+type index = {
+  offsets : int array;  (* [codes + 1] bucket starts *)
+  rows : int array;  (* every physical row once, grouped by code *)
+}
+
+let build_index ~codes b c =
+  check_col "build_index" b c;
+  if Option.is_some b.sel then invalid_arg "Columnar.build_index: batch has a selection vector";
+  let col = b.cols.(c) and n = b.nrows in
+  let offsets = Array.make (codes + 1) 0 in
+  for i = 0 to n - 1 do
+    let k = Array.unsafe_get col i in
+    offsets.(k) <- offsets.(k) + 1
+  done;
+  (* inclusive prefix sums: offsets.(k) is bucket k's end *)
+  for k = 1 to codes do
+    offsets.(k) <- offsets.(k) + offsets.(k - 1)
+  done;
+  (* back-to-front fill moves each end down to its start and leaves every
+     bucket in ascending row order; offsets.(codes) stays n *)
+  let rows = Array.make n 0 in
+  for i = n - 1 downto 0 do
+    let k = Array.unsafe_get col i in
+    let p = Array.unsafe_get offsets k - 1 in
+    Array.unsafe_set offsets k p;
+    Array.unsafe_set rows p i
+  done;
+  { offsets; rows }
+
+(* the number of codes with postings: a code at or above it (an overlay
+   value) has none *)
+let indexed_codes ix = Array.length ix.offsets - 1
+
+(* the rows of a dense base batch holding [code] in the indexed column:
+   the postings become the selection vector, so order (and sortedness)
+   is the batch's own *)
+let select_code ix b code =
+  if Option.is_some b.sel then invalid_arg "Columnar.select_code: batch has a selection vector";
+  if code < 0 || code >= indexed_codes ix then { b with nrows = 0; sel = Some [||] }
+  else begin
+    let lo = ix.offsets.(code) and hi = ix.offsets.(code + 1) in
+    if hi - lo = b.nrows then b
+    else { b with nrows = hi - lo; sel = Some (Array.sub ix.rows lo (hi - lo)) }
+  end
+
+(* the residual pairs of a probe join as parallel column arrays *)
+let residual_cols a b pairs =
+  ( Array.of_list (List.map (fun (i, _) -> a.cols.(i)) pairs),
+    Array.of_list (List.map (fun (_, j) -> b.cols.(j)) pairs) )
+
+let residual_holds lcols rcols i j =
+  let n = Array.length lcols and c = ref 0 in
+  while
+    !c < n
+    && Array.unsafe_get (Array.unsafe_get lcols !c) i
+       = Array.unsafe_get (Array.unsafe_get rcols !c) j
+  do
+    incr c
+  done;
+  !c = n
+
+(* how many postings the first [n] codes of [col] look up *)
+let postings_total ix col n =
+  let offs = ix.offsets and last = indexed_codes ix in
+  let total = ref 0 in
+  for i = 0 to n - 1 do
+    let c = Array.unsafe_get col i in
+    if c < last then total := !total + Array.unsafe_get offs (c + 1) - Array.unsafe_get offs c
+  done;
+  !total
+
+(* [equijoin pairs a b] where [b] is a dense base batch and [ix] indexes
+   [b]'s column of the first pair: every left row looks its key up in
+   the postings, the remaining pairs are checked per match, and no table
+   is built.  Left rows probe in order and postings ascend, so the output
+   order is equijoin's.  With a residual the postings only bound the
+   output; once they outnumber the rows a hash join touches ([|a| + |b|])
+   the probe declines and the caller joins by hashing. *)
+let join_index_right pairs a b ix =
+  List.iter
+    (fun (i, j) ->
+      check_col "join_index_right" a i;
+      check_col "join_index_right" b j)
+    pairs;
+  match pairs with
+  | [] -> invalid_arg "Columnar.join_index_right: no join pairs"
+  | (ic, _) :: rest ->
+    let a = dense a in
+    if a.nrows = 0 || b.nrows = 0 then Some (empty (a.arity + b.arity))
+    else begin
+      let lcol = a.cols.(ic) in
+      let total = postings_total ix lcol a.nrows in
+      if rest <> [] && total > a.nrows + b.nrows then None
+      else begin
+        let li = Array.make (max 1 total) 0 and ri = Array.make (max 1 total) 0 in
+        let lcols, rcols = residual_cols a b rest in
+        let k = ref 0 in
+        let offs = ix.offsets and rows = ix.rows and last = indexed_codes ix in
+        for i = 0 to a.nrows - 1 do
+          let c = Array.unsafe_get lcol i in
+          if c < last then
+            for p = Array.unsafe_get offs c to Array.unsafe_get offs (c + 1) - 1 do
+              let j = Array.unsafe_get rows p in
+              if residual_holds lcols rcols i j then begin
+                Array.unsafe_set li !k i;
+                Array.unsafe_set ri !k j;
+                incr k
+              end
+            done
+        done;
+        Some (materialize_pairs ~sorted:(a.sorted && b.sorted) a b li ri !k)
+      end
+    end
+
+(* [equijoin pairs a b] where [a] is a dense base batch and [ix] indexes
+   [a]'s column of the first pair: the right rows probe, and the matches
+   are then sorted back into equijoin's left-major order (left row, then
+   right row), packed one pair per word.  Declines, as above, when the
+   postings outnumber [|a| + |b|]: checking and sorting them would cost
+   more than hashing. *)
+let join_index_left pairs a ix b =
+  List.iter
+    (fun (i, j) ->
+      check_col "join_index_left" a i;
+      check_col "join_index_left" b j)
+    pairs;
+  match pairs with
+  | [] -> invalid_arg "Columnar.join_index_left: no join pairs"
+  | (_, jc) :: rest ->
+    let b = dense b in
+    let m = b.nrows in
+    if a.nrows = 0 || m = 0 then Some (empty (a.arity + b.arity))
+    else begin
+      let rcol = b.cols.(jc) in
+      let total = postings_total ix rcol m in
+      if total > a.nrows + m then None
+      else begin
+        let lcols, rcols = residual_cols a b rest in
+        let keys = Array.make (max 1 total) 0 in
+        let k = ref 0 and ordered = ref true in
+        let offs = ix.offsets and rows = ix.rows and last = indexed_codes ix in
+        for j = 0 to m - 1 do
+          let c = Array.unsafe_get rcol j in
+          if c < last then
+            for p = Array.unsafe_get offs c to Array.unsafe_get offs (c + 1) - 1 do
+              let i = Array.unsafe_get rows p in
+              if residual_holds lcols rcols i j then begin
+                let key = (i * m) + j in
+                if !k > 0 && Array.unsafe_get keys (!k - 1) > key then ordered := false;
+                Array.unsafe_set keys !k key;
+                incr k
+              end
+            done
+        done;
+        let keys = Array.sub keys 0 !k in
+        if not !ordered then sort_ints keys;
+        let li = Array.map (fun key -> key / m) keys and ri = Array.map (fun key -> key mod m) keys in
+        Some (materialize_pairs ~sorted:(a.sorted && b.sorted) a b li ri !k)
+      end
+    end
+
 let same_arity op a b =
   if a.arity <> b.arity then
     invalid_arg (Printf.sprintf "Columnar.%s: arities %d and %d differ" op a.arity b.arity)

@@ -91,5 +91,40 @@ val equijoin : (int * int) list -> t -> t -> t
 (** Hash equijoin over code columns: builds on the right operand, probes
     with the left; output is left-major. *)
 
+(** {2 Access paths}
+
+    A base batch (a state relation's image, dense) can carry one
+    {!index} per column.  The probe operators below answer exactly what
+    {!filter} and {!equijoin} answer, in the same row order, without
+    scanning or hashing the base batch. *)
+
+type index
+(** Postings of one column, in CSR form: storage codes are dense ranks,
+    so an offsets array over the codes plus one row-id array (each
+    code's rows in ascending physical order) locates every code's rows. *)
+
+val build_index : codes:int -> t -> int -> index
+(** [build_index ~codes b c] indexes column [c] of the dense batch [b],
+    all of whose codes are below [codes]. Linear in [nrows b + codes].
+    @raise Invalid_argument if [b] has a selection vector. *)
+
+val select_code : index -> t -> int -> t
+(** [select_code ix b code]: the rows of the dense batch [b] whose
+    indexed column holds [code], as a selection vector over [b]. A code
+    the index does not cover (an overlay value) selects nothing. *)
+
+val join_index_right : (int * int) list -> t -> t -> index -> t option
+(** [join_index_right pairs a b ix] is [Some (equijoin pairs a b)] for a
+    dense [b] whose column [snd (List.hd pairs)] [ix] indexes: [a]'s rows
+    probe the postings and the other pairs are checked per match. [None]
+    when there are other pairs and the postings to check outnumber
+    [nrows a + nrows b], the rows a hash join would touch. *)
+
+val join_index_left : (int * int) list -> t -> index -> t -> t option
+(** [join_index_left pairs a ix b] is [Some (equijoin pairs a b)] for a
+    dense [a] whose column [fst (List.hd pairs)] [ix] indexes: [b]'s rows
+    probe, and the matches are sorted back into left-major order. [None]
+    when the postings outnumber [nrows a + nrows b]. *)
+
 val union : t -> t -> t
 val diff : t -> t -> t

@@ -197,27 +197,76 @@ let make_settle ~budget ~fps node card =
    active domain) and every base relation encoded through it — is built
    once and memoized on the state via its engine-private slot.  The exn
    is the extensible carrier {!State} asks for; the payload is frozen
-   after publication (evaluations only read it through overlays). *)
-exception Columnar_image of Columnar.Dict.t * (string, Columnar.t) Hashtbl.t
+   after publication (evaluations only read it through overlays), except
+   for the per-column index slots, which fill lazily. *)
+type base = {
+  batch : Columnar.t;
+  indexes : Columnar.index option Atomic.t array;  (* one per column *)
+}
+
+exception Columnar_image of Columnar.Dict.t * (string, base) Hashtbl.t
 
 let columnar_image state =
   match State.memo state with
-  | Some (Columnar_image (dict, batches)) -> (dict, batches)
+  | Some (Columnar_image (dict, bases)) -> (dict, bases)
   | Some _ | None ->
     let dict = Columnar.Dict.of_sorted_values (State.active_domain state) in
-    let batches = Hashtbl.create 8 in
+    let bases = Hashtbl.create 8 in
     List.iter
-      (fun (name, _) ->
-        Hashtbl.add batches name (Columnar.of_relation dict (State.relation state name)))
+      (fun (name, arity) ->
+        Hashtbl.add bases name
+          { batch = Columnar.of_relation dict (State.relation state name);
+            indexes = Array.init arity (fun _ -> Atomic.make None) })
       (Schema.relations (State.schema state));
     (* fully built before the single-word publish: a concurrent reader
        sees either nothing or a complete image *)
-    State.set_memo state (Columnar_image (dict, batches));
-    (dict, batches)
+    State.set_memo state (Columnar_image (dict, bases));
+    (dict, bases)
+
+(* Column [c]'s index, built on first use the way the image is published:
+   completely, then one word.  Seats that race both build it; either
+   result is the same, and the last write wins. *)
+let column_index ~codes base c =
+  match Atomic.get base.indexes.(c) with
+  | Some ix -> ix
+  | None ->
+    let ix = Columnar.build_index ~codes base.batch c in
+    Atomic.set base.indexes.(c) (Some ix);
+    ix
+
+(* [anchor cond]: the first conjunct [Eq (Col i, Const v)] (either way
+   round) of a conjunctive condition, with the conjuncts left over.  No
+   conjunct ahead of it may call a domain predicate: the scan evaluates
+   conjuncts left to right and stops at the first false one, so a
+   predicate behind the anchor sees exactly the anchor's rows, and the
+   index path makes the same predicate calls. *)
+let anchor cond =
+  let rec conjuncts c acc =
+    match c with And_c (a, b) -> conjuncts a (conjuncts b acc) | c -> c :: acc
+  in
+  let rec has_pred = function
+    | Domain_pred _ -> true
+    | Eq _ -> false
+    | Not c -> has_pred c
+    | And_c (a, b) | Or_c (a, b) -> has_pred a || has_pred b
+  in
+  let rec pick before = function
+    | [] -> None
+    | (Eq (Col i, Const v) | Eq (Const v, Col i)) :: after ->
+      let rest =
+        match List.rev_append before after with
+        | [] -> None
+        | c :: cs -> Some (List.fold_left (fun acc d -> And_c (acc, d)) c cs)
+      in
+      Some (i, v, rest)
+    | c :: after -> if has_pred c then None else pick (c :: before) after
+  in
+  pick [] (conjuncts cond [])
 
 let eval_columnar ~state ~settle ~domain_pred plan =
   let module C = Columnar in
-  let base_dict, batches = columnar_image state in
+  let base_dict, bases = columnar_image state in
+  let codes = C.Dict.size base_dict in
   (* Plan literals get encoded into a per-evaluation overlay, keeping
      the shared image frozen.  Condition constants are never inserted:
      a [find] miss means the value occurs nowhere in the data, so the
@@ -231,8 +280,9 @@ let eval_columnar ~state ~settle ~domain_pred plan =
     | Product (p, q) | Join (_, p, q) | Union (p, q) | Diff (p, q) -> has_lit p || has_lit q
   in
   let dict = if has_lit plan then C.Dict.overlay base_dict else base_dict in
-  let batch_of name =
-    match Hashtbl.find_opt batches name with
+  let probes = ref 0 in
+  let base_of name =
+    match Hashtbl.find_opt bases name with
     | Some b -> b
     | None ->
       (* every scheme relation is in the image, so this name is outside
@@ -284,13 +334,31 @@ let eval_columnar ~state ~settle ~domain_pred plan =
     in
     comp cond
   in
-  (* children are evaluated right-to-left, which fixes the order of the
-     per-node fault hits and budget charges *)
+  (* [node] is a base relation that has a column [c] *)
+  let base_col node c =
+    match node with
+    | Rel name -> c >= 0 && c < C.arity (base_of name).batch
+    | _ -> false
+  in
+  (* Children are evaluated right-to-left, which fixes the order of the
+     per-node fault hits and budget charges.  Access paths change only
+     how a node's rows are found: a [Rel] child settles its full
+     cardinality before the parent probes its index, so every node
+     charges exactly what a scan would. *)
   let rec go node =
     let out =
       match node with
-      | Rel name -> batch_of name
+      | Rel name -> (base_of name).batch
       | Lit r -> C.of_relation dict r
+      | Select (cond, (Rel name as p)) -> (
+        let b = go p in
+        match anchor cond with
+        | Some (i, v, rest) when base_col p i ->
+          let code = match C.Dict.find dict v with Some code -> code | None -> -1 in
+          incr probes;
+          let sel = C.select_code (column_index ~codes (base_of name) i) b code in
+          (match rest with None -> sel | Some c -> C.filter (compile_cond c sel) sel)
+        | _ -> C.filter (compile_cond cond b) b)
       | Select (cond, p) ->
         let b = go p in
         C.filter (compile_cond cond b) b
@@ -299,10 +367,22 @@ let eval_columnar ~state ~settle ~domain_pred plan =
         let bq = go q in
         let bp = go p in
         C.product bp bq
-      | Join (pairs, p, q) ->
+      | Join (pairs, p, q) -> (
         let bq = go q in
         let bp = go p in
-        C.equijoin pairs bp bq
+        let probed =
+          match (pairs, p, q) with
+          | (_, j) :: _, _, Rel name when base_col q j ->
+            C.join_index_right pairs bp bq (column_index ~codes (base_of name) j)
+          | (i, _) :: _, Rel name, _ when base_col p i ->
+            C.join_index_left pairs bp (column_index ~codes (base_of name) i) bq
+          | _ -> None
+        in
+        match probed with
+        | Some out ->
+          incr probes;
+          out
+        | None -> C.equijoin pairs bp bq)
       | Union (p, q) ->
         let bq = go q in
         let bp = go p in
@@ -315,7 +395,8 @@ let eval_columnar ~state ~settle ~domain_pred plan =
     settle node (C.nrows out);
     out
   in
-  C.to_relation dict (go plan)
+  let out = go plan in
+  (C.to_relation dict out, !probes)
 
 let eval ~state ?budget ?(domain_pred = no_domain_pred) plan =
   T.with_span "relalg.eval" (fun () ->
@@ -323,8 +404,9 @@ let eval ~state ?budget ?(domain_pred = no_domain_pred) plan =
          disabled path stays a single ref read per settle *)
       let fps = if T.enabled () then annotate plan else [] in
       let settle = make_settle ~budget ~fps in
-      let rel = eval_columnar ~state ~settle ~domain_pred plan in
+      let rel, probes = eval_columnar ~state ~settle ~domain_pred plan in
       T.set_attr "out_card" (T.Int (Relation.cardinal rel));
+      T.set_attr "index_probes" (T.Int probes);
       rel)
 
 let rec size = function

@@ -56,6 +56,13 @@ val eval :
     — and an explicit budget's cardinality cap applies to every
     intermediate.
 
+    A selection anchored at a constant over a base relation, and a join
+    with a base relation on either side, find their rows through
+    per-column indexes built on first use and cached with the state's
+    image (see {!Columnar.index}). The index changes only the time: the
+    base relation still settles, and is charged, as if scanned. The span's
+    [index_probes] attribute counts the nodes that used an index.
+
     Each operator settles at the fault site [relalg.node], children
     right-to-left. Answers and budget verdicts are property-tested against
     a naive tuple-list oracle in [test/test_columnar.ml]: the plan answers

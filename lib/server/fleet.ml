@@ -168,7 +168,6 @@ let worker_config t w =
     journal = w.w_journal;
     metrics_file = Option.map (fun p -> p ^ "." ^ w.w_name) t.cfg.serve.Server.metrics_file;
     state = t.state;
-    stats = Optimizer.Stats.of_state t.state;
     state_file = t.state_path }
 
 let spawn_worker t w =

@@ -100,7 +100,6 @@ type config = {
   extra_domains : (string * Fq_domain.Domain.t) list;
   default_domain : string;
   state : State.t;
-  stats : Optimizer.Stats.t;
   log : string -> unit;
 }
 
@@ -130,7 +129,6 @@ let default_config ~state addr =
     extra_domains = [];
     default_domain = "presburger";
     state;
-    stats = Optimizer.Stats.of_state state;
     log = (fun line -> Printf.eprintf "%s\n%!" line) }
 
 let logf cfg fmt = Printf.ksprintf cfg.log ("fq serve: " ^^ fmt)

@@ -117,7 +117,6 @@ type config = {
           pathological domains here) *)
   default_domain : string;  (** for requests that name no domain *)
   state : Fq_db.State.t;  (** the database served at epoch 1 *)
-  stats : Fq_db.Optimizer.Stats.t;  (** shared cost-model statistics *)
   log : string -> unit;  (** server log lines (stderr in the CLI) *)
 }
 

@@ -63,6 +63,54 @@ let rec gen_cond depth arity =
             (gen_cond (depth - 1) arity)
             (gen_cond (depth - 1) arity) ) ]
 
+(* The access-path shapes of the engine: a constant-anchored select
+   over a base relation, and a join with a base relation on either side.
+   Anchors range over values the state holds (0-4), a value absent
+   everywhere (7), and one only a plan literal carries (9), which the
+   evaluation's dictionary overlay holds but no base column does. *)
+let rel_of_arity = function 1 -> "A" | 2 -> "B" | _ -> "C"
+
+let gen_anchor =
+  QCheck.Gen.(frequency [ (3, gen_value); (1, return (vi 7)); (1, return (vi 9)) ])
+
+let gen_overlay_lit arity =
+  QCheck.Gen.(
+    map
+      (fun rows -> Relalg.Lit (Relation.make ~arity (List.init arity (fun _ -> vi 9) :: rows)))
+      (list_size (int_range 0 3) (list_repeat arity gen_anchor)))
+
+let gen_indexed sub arity =
+  let open QCheck.Gen in
+  let select =
+    int_range 0 (arity - 1) >>= fun i ->
+    gen_anchor >>= fun v ->
+    bool >>= fun flip ->
+    let eq =
+      if flip then Relalg.Eq (Relalg.Const v, Relalg.Col i)
+      else Relalg.Eq (Relalg.Col i, Relalg.Const v)
+    in
+    frequency
+      [ (2, return eq);
+        (1, map (fun c -> Relalg.And_c (eq, c)) (gen_cond 1 arity));
+        (1, map (fun c -> Relalg.And_c (c, eq)) (gen_cond 1 arity)) ]
+    >>= fun cond ->
+    let s = Relalg.Select (cond, Relalg.Rel (rel_of_arity arity)) in
+    (* a literal alongside puts 9 into the overlay *)
+    frequency [ (2, return s); (1, map (fun l -> Relalg.Union (s, l)) (gen_overlay_lit arity)) ]
+  in
+  let join () =
+    int_range 1 (arity - 1) >>= fun a1 ->
+    let a2 = arity - a1 in
+    list_size (int_range 1 2) (pair (int_range 0 (a1 - 1)) (int_range 0 (a2 - 1)))
+    >>= fun pairs ->
+    let other a = frequency [ (2, sub a); (1, gen_overlay_lit a) ] in
+    bool >>= fun rel_right ->
+    if rel_right then
+      map (fun p -> Relalg.Join (pairs, p, Relalg.Rel (rel_of_arity a2))) (other a1)
+    else map (fun q -> Relalg.Join (pairs, Relalg.Rel (rel_of_arity a1), q)) (other a2)
+  in
+  if arity >= 2 then oneof [ select; join () ] else select
+
 let rec gen_plan fuel arity =
   let open QCheck.Gen in
   let base =
@@ -102,9 +150,10 @@ let rec gen_plan fuel arity =
     in
     let union = map2 (fun p q -> Relalg.Union (p, q)) (sub arity) (sub arity) in
     let diff = map2 (fun p q -> Relalg.Diff (p, q)) (sub arity) (sub arity) in
+    let indexed = if arity = 0 || arity > 3 then base else gen_indexed sub arity in
     frequency
       [ (2, base); (3, select); (2, project); (2, product); (2, join); (2, union);
-        (2, diff) ]
+        (2, diff); (3, indexed) ]
 
 let gen_scenario =
   QCheck.Gen.(
@@ -273,6 +322,101 @@ let test_permutation_projection () =
   Alcotest.(check bool) "swap swaps" true
     (Relation.equal p (r2 [ [ vi 2; vi 1 ]; [ vi 1; vi 2 ]; [ vi 1; vi 1 ] ]))
 
+(* The probe kernels against the scan and hash kernels they replace, on
+   one base batch: same rows, same physical order, same sortedness.
+   Probe-side values outside the base dictionary land in an overlay, as
+   plan literals do. *)
+let gen_kernel_case =
+  QCheck.Gen.(
+    let v = map vi (int_range 0 6) in
+    quad
+      (list_size (int_range 0 12) (list_repeat 2 v))
+      ( int_range 1 2 >>= fun a ->
+        map (fun rows -> (a, rows)) (list_size (int_range 0 6) (list_repeat a v)) )
+      (list_size (int_range 1 2) (pair (int_range 0 1) (int_range 0 1)))
+      (int_range 0 7))
+
+let prop_probe_kernels =
+  QCheck.Test.make ~name:"index probes match the scan and hash kernels" ~count:500
+    (QCheck.make gen_kernel_case)
+    (fun (brows, (qa, qrows), pairs, code) ->
+      let rb = Relation.make ~arity:2 brows in
+      let rq = Relation.make ~arity:qa qrows in
+      let base = Columnar.Dict.of_sorted_values (List.sort_uniq Value.compare (List.concat brows)) in
+      let b = Columnar.of_relation base rb in
+      let dict = Columnar.Dict.overlay base in
+      let q = Columnar.of_relation dict rq in
+      let codes = Columnar.Dict.size base in
+      let ix = Array.init 2 (fun c -> Columnar.build_index ~codes b c) in
+      let same (x : Columnar.t) (y : Columnar.t) =
+        let x = Columnar.dense x and y = Columnar.dense y in
+        x.nrows = y.nrows && x.sorted = y.sorted
+        && Array.for_all2 (fun cx cy -> Array.sub cx 0 x.nrows = Array.sub cy 0 y.nrows) x.cols y.cols
+      in
+      let rpairs = List.map (fun (i, j) -> (i mod qa, j)) pairs in
+      let lpairs = List.map (fun (i, j) -> (j, i mod qa)) pairs in
+      let agrees probe scan = match probe with None -> true | Some p -> same p scan in
+      List.for_all
+        (fun c ->
+          same (Columnar.select_code ix.(c) b code)
+            (Columnar.filter (fun i -> b.cols.(c).(i) = code) b))
+        [ 0; 1 ]
+      && agrees
+           (Columnar.join_index_right rpairs q b ix.(snd (List.hd rpairs)))
+           (Columnar.equijoin rpairs q b)
+      && agrees
+           (Columnar.join_index_left lpairs b ix.(fst (List.hd lpairs)) q)
+           (Columnar.equijoin lpairs b q))
+
+(* Indexes build lazily on the shared state image, so domains that
+   evaluate anchored plans on one fresh state race to build them; every
+   domain must still get exactly the answers of a sequential run. *)
+let test_concurrent_index_builds () =
+  let b =
+    Relation.make ~arity:2 (List.init 400 (fun i -> [ vi (i mod 37); vi (i * 7 mod 53) ]))
+  in
+  let fresh () = State.make ~schema [ ("B", b) ] in
+  let plans =
+    Array.of_list
+      (List.concat_map
+         (fun k ->
+           let v = Relalg.Const (vi k) in
+           [ Relalg.Select (Relalg.Eq (Relalg.Col 0, v), Relalg.Rel "B");
+             Relalg.Select (Relalg.Eq (v, Relalg.Col 1), Relalg.Rel "B");
+             Relalg.Join
+               ([ (1, 0) ], Relalg.Select (Relalg.Eq (Relalg.Col 0, v), Relalg.Rel "B"),
+                 Relalg.Rel "B");
+             Relalg.Join ([ (1, 0) ], Relalg.Rel "B", Relalg.Lit (Relation.make ~arity:1 [ [ vi k ] ]))
+           ])
+         (List.init 40 Fun.id))
+  in
+  let n = Array.length plans in
+  let expected = Array.map (fun p -> Relalg.eval ~state:(fresh ()) p) plans in
+  for _round = 1 to 4 do
+    let state = fresh () in
+    let seats = 4 in
+    let ready = Atomic.make 0 in
+    let run d () =
+      Atomic.incr ready;
+      while Atomic.get ready < seats do
+        Domain.cpu_relax ()
+      done;
+      (* each seat walks the plans from its own starting point *)
+      Array.init n (fun k ->
+          let i = (k + (d * n / seats)) mod n in
+          (i, Relalg.eval ~state plans.(i)))
+    in
+    List.iter
+      (fun answers ->
+        Array.iter
+          (fun (i, r) ->
+            Alcotest.(check bool)
+              (Format.asprintf "plan %a" Relalg.pp plans.(i))
+              true (Relation.equal expected.(i) r))
+          answers)
+      (List.map Domain.join (List.init seats (fun d -> Domain.spawn (run d))))
+  done
+
 let () =
   Alcotest.run "columnar"
     [ ( "equivalence",
@@ -281,7 +425,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_oracle_agrees_domain_pred;
           QCheck_alcotest.to_alcotest prop_fuel_verdict_exact ] );
       ( "kernels",
-        [ Alcotest.test_case "relation round-trip" `Quick test_roundtrip;
+        [ QCheck_alcotest.to_alcotest prop_probe_kernels;
+          Alcotest.test_case "relation round-trip" `Quick test_roundtrip;
           Alcotest.test_case "projection deduplicates" `Quick test_projection_dedups;
           Alcotest.test_case "permutation projection keeps rows" `Quick
-            test_permutation_projection ] ) ]
+            test_permutation_projection;
+          Alcotest.test_case "racing domains build indexes consistently" `Quick
+            test_concurrent_index_builds ] ) ]

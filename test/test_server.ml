@@ -883,6 +883,31 @@ let test_serve_reload () =
   | Error e -> Alcotest.failf "health after bad reload: %s" e);
   Sys.remove v2
 
+(* An anchored query answers through a column index cached on the
+   epoch's state; a reload must answer from the new state's own. *)
+let test_serve_reload_anchored () =
+  let v2 = Filename.temp_file "fq_state_v2" ".db" in
+  write_file v2 "E/2=a,c;b,c;c,d\nS/1=a\n";
+  with_server (base_config (fresh_addr ())) @@ fun c ->
+  let answer id formula =
+    match Client.request c (eval_req ~domain:"equality" id formula) with
+    | Ok (_, Protocol.R_outcome { verdict = Complete { answer; _ }; _ }) -> answer
+    | Ok _ -> Alcotest.failf "%s: expected a complete outcome" id
+    | Error e -> Alcotest.failf "%s: %s" id e
+  in
+  let col vs = Relation.make ~arity:1 (List.map (fun v -> [ Value.str v ]) vs) in
+  Alcotest.(check bool) "epoch 1: E(x, \"2\")" true
+    (Relation.equal (col [ "1" ]) (answer "old" {|E(x, "2")|}));
+  (match Client.request c (Protocol.Reload { id = "r"; path = Some v2 }) with
+  | Ok ("r", Protocol.R_ok _) -> ()
+  | Ok _ -> Alcotest.fail "reload: expected an ok ack"
+  | Error e -> Alcotest.failf "reload: %s" e);
+  Alcotest.(check bool) "epoch 2: E(x, \"c\")" true
+    (Relation.equal (col [ "a"; "b" ]) (answer "new" {|E(x, "c")|}));
+  Alcotest.(check bool) "epoch 2: E(x, \"2\") is empty" true
+    (Relation.is_empty (answer "gone" {|E(x, "2")|}));
+  Sys.remove v2
+
 let test_serve_oversized_line () =
   with_server { (base_config (fresh_addr ())) with max_line_bytes = 128 } @@ fun c ->
   (* an oversize request line is answered (not fatal) and drained *)
@@ -1573,6 +1598,8 @@ let () =
           Alcotest.test_case "damaged snapshot boots warm" `Quick test_serve_damaged_snapshot;
           Alcotest.test_case "hot reload swaps epochs without drops" `Quick
             test_serve_reload;
+          Alcotest.test_case "anchored queries answer from the reloaded state" `Quick
+            test_serve_reload_anchored;
           Alcotest.test_case "oversize line answered and drained" `Quick
             test_serve_oversized_line;
           Alcotest.test_case "failed snapshot save leaves the old snapshot intact" `Quick

@@ -25,7 +25,6 @@ module Dict = struct
     parent : t option;
     offset : int;  (* absolute codes below [offset] live in the parent *)
     mutable values : Value.t array;  (* local: absolute code [offset + i] *)
-    mutable hashes : int array;  (* cached [Value.hash] per local code *)
     mutable n : int;  (* local count *)
     index : (Value.t, int) Hashtbl.t;  (* local value -> absolute code *)
     mutable ordered : bool;
@@ -40,7 +39,6 @@ module Dict = struct
     { parent = None;
       offset = 0;
       values = Array.make (max 16 size) dummy;
-      hashes = Array.make (max 16 size) 0;
       n = 0;
       index = Hashtbl.create (max 16 size);
       ordered = false }
@@ -52,7 +50,6 @@ module Dict = struct
       { parent = None;
         offset = 0;
         values = Array.make (max 16 n) dummy;
-        hashes = Array.make (max 16 n) 0;
         n;
         index = Hashtbl.create (2 * max 16 n);
         ordered = true }
@@ -60,7 +57,6 @@ module Dict = struct
     List.iteri
       (fun i v ->
         d.values.(i) <- v;
-        d.hashes.(i) <- Value.hash v;
         Hashtbl.add d.index v i)
       vs;
     d
@@ -74,7 +70,6 @@ module Dict = struct
     { parent = Some parent;
       offset = size parent;
       values = Array.make 16 dummy;
-      hashes = Array.make 16 0;
       n = 0;
       index = Hashtbl.create 16;
       (* the overlay starts empty; its first insertion breaks rank order
@@ -87,15 +82,6 @@ module Dict = struct
       match d.parent with
       | Some p -> decode p code
       | None -> invalid_arg "Columnar.Dict.decode: code out of range"
-
-  (* cached [Value.hash (decode d code)], so batch-to-row conversion
-     never rehashes a boxed value *)
-  let rec hash_code d code =
-    if code >= d.offset then d.hashes.(code - d.offset)
-    else
-      match d.parent with
-      | Some p -> hash_code p code
-      | None -> invalid_arg "Columnar.Dict.hash_code: code out of range"
 
   let rec find d v =
     match Hashtbl.find_opt d.index v with
@@ -112,10 +98,7 @@ module Dict = struct
         let cap = max 16 (2 * d.n) in
         let bigger = Array.make cap dummy in
         Array.blit d.values 0 bigger 0 d.n;
-        d.values <- bigger;
-        let bigger_h = Array.make cap 0 in
-        Array.blit d.hashes 0 bigger_h 0 d.n;
-        d.hashes <- bigger_h
+        d.values <- bigger
       end;
       (* an unforeseen value breaks the rank ordering unless it extends it *)
       (if d.ordered then
@@ -124,7 +107,6 @@ module Dict = struct
          | _ -> ());
       let code = d.offset + d.n in
       d.values.(d.n) <- v;
-      d.hashes.(d.n) <- Value.hash v;
       Hashtbl.add d.index v code;
       d.n <- d.n + 1;
       code
@@ -233,6 +215,62 @@ let sort_ints (a : int array) =
   in
   let n = Array.length a in
   if n > 1 then qsort 0 (n - 1)
+
+(* Below this many keys the quicksort wins: every radix pass walks a
+   count array and a scratch array of the keys' size. *)
+let radix_cutoff = 4096
+
+(* [sort_keys keys ~bound] sorts [keys], all in [0, bound), ascending in
+   place.  Large arrays take an LSD radix sort over the bits of
+   [bound - 1], split into the fewest passes of at most 11 bits, of equal
+   width (offline-join's 4,000 codes at arity 2: 24 bits, 3 passes of 8).
+   One pass over the keys counts every digit; a pass whose digit all keys
+   share is skipped. *)
+let sort_keys (a : int array) ~bound =
+  let n = Array.length a in
+  if n < radix_cutoff then sort_ints a
+  else begin
+    let bits = ref 1 in
+    while (bound - 1) lsr !bits > 0 do
+      incr bits
+    done;
+    let passes = (!bits + 10) / 11 in
+    let width = (!bits + passes - 1) / passes in
+    let radix = 1 lsl width in
+    let mask = radix - 1 in
+    let counts = Array.make (passes * radix) 0 in
+    for i = 0 to n - 1 do
+      let k = Array.unsafe_get a i in
+      for p = 0 to passes - 1 do
+        let s = (p * radix) + ((k lsr (p * width)) land mask) in
+        Array.unsafe_set counts s (Array.unsafe_get counts s + 1)
+      done
+    done;
+    let src = ref a and dst = ref (Array.make n 0) in
+    for p = 0 to passes - 1 do
+      let base = p * radix and shift = p * width in
+      if counts.(base + ((a.(0) lsr shift) land mask)) < n then begin
+        (* counts become each digit's first output slot *)
+        let start = ref 0 in
+        for d = base to base + mask do
+          let c = Array.unsafe_get counts d in
+          Array.unsafe_set counts d !start;
+          start := !start + c
+        done;
+        let s = !src and t = !dst in
+        for i = 0 to n - 1 do
+          let k = Array.unsafe_get s i in
+          let d = base + ((k lsr shift) land mask) in
+          let pos = Array.unsafe_get counts d in
+          Array.unsafe_set t pos k;
+          Array.unsafe_set counts d (pos + 1)
+        done;
+        src := t;
+        dst := s
+      end
+    done;
+    if !src != a then Array.blit !src 0 a 0 n
+  end
 
 (* smallest power of two holding [n] entries at < 50% load *)
 let table_size n =
@@ -456,34 +494,51 @@ let of_relation dict rel =
   (* relation rows are canonically sorted; ranks preserve that order *)
   { arity; nrows = n; cols; sel = None; sorted = Dict.ordered dict }
 
+(* Answer rows are bare cell arrays built by one initializing
+   allocation for the common arities; dictionary-decoded cells are
+   shared, never copied.  Top-level helpers, so no closure is allocated
+   per row. *)
+let cell dict (cols : int array array) c i =
+  Dict.decode dict (Array.unsafe_get (Array.unsafe_get cols c) i)
+
+let row_at dict cols a i =
+  match a with
+  | 0 -> Row.of_array [||]
+  | 1 -> Row.of_array [| cell dict cols 0 i |]
+  | 2 -> Row.of_array [| cell dict cols 0 i; cell dict cols 1 i |]
+  | 3 -> Row.of_array [| cell dict cols 0 i; cell dict cols 1 i; cell dict cols 2 i |]
+  | _ -> Row.of_array (Array.init a (fun c -> cell dict cols c i))
+
+(* the row packed into [key] as [a] base-[d] digits, most significant
+   first *)
+let row_of_key dict d a key =
+  match a with
+  | 1 -> Row.of_array [| Dict.decode dict key |]
+  | 2 -> Row.of_array [| Dict.decode dict (key / d); Dict.decode dict (key mod d) |]
+  | 3 ->
+    Row.of_array
+      [| Dict.decode dict (key / d / d); Dict.decode dict (key / d mod d);
+         Dict.decode dict (key mod d) |]
+  | _ ->
+    let cells = Array.make a (Dict.decode dict 0) in
+    let k = ref key in
+    for c = a - 1 downto 0 do
+      cells.(c) <- Dict.decode dict (!k mod d);
+      k := !k / d
+    done;
+    Row.of_array cells
+
 let to_relation dict b =
   let b = dense b in
-  let n = b.nrows in
-  (* cells and the row hash both come out of the dictionary's per-code
-     caches; no boxed value is hashed here *)
-  let decode_row i =
-    let a = b.arity in
-    if a = 0 then Row.of_array [||]
-    else begin
-      let cells = Array.make a (Dict.decode dict b.cols.(0).(i)) in
-      let h = ref Row.seed_hash in
-      for c = 0 to a - 1 do
-        let code = b.cols.(c).(i) in
-        cells.(c) <- Dict.decode dict code;
-        h := Row.combine_hash !h (Dict.hash_code dict code)
-      done;
-      Row.of_array_hashed cells (!h land max_int)
-    end
-  in
+  let n = b.nrows and a = b.arity and cols = b.cols in
   if Dict.ordered dict then begin
     (* codes are Value ranks: code-lexicographic order is the canonical
        row order, and batches are duplicate-free, so nothing boxed is
        ever compared.  Operators propagate sortedness, so most batches
        need no sort at all; the rest sort unboxed ints — packed into a
        single key per row when the codes fit one word. *)
-    if b.sorted then Relation.of_sorted_rows ~arity:b.arity (Array.init n decode_row)
+    if b.sorted then Relation.of_sorted_rows ~arity:a (Array.init n (row_at dict cols a))
     else begin
-      let cols = b.cols and a = b.arity in
       let d = max 1 (Dict.size dict) in
       if fits_word d a then begin
         (* pack each row into one word, sort the words monomorphically,
@@ -496,29 +551,12 @@ let to_relation dict b =
           done;
           Array.unsafe_set keys i !key
         done;
-        sort_ints keys;
-        let hs = Array.make a 0 in
-        let rows =
-          Array.map
-            (fun key ->
-              let cells = Array.make a (Dict.decode dict (key mod d)) in
-              let k = ref key in
-              for c = a - 1 downto 0 do
-                let code = !k mod d in
-                cells.(c) <- Dict.decode dict code;
-                hs.(c) <- Dict.hash_code dict code;
-                k := !k / d
-              done;
-              (* the row hash folds left-to-right, the unpack runs
-                 right-to-left: stage per-cell hashes, then fold *)
-              let h = ref Row.seed_hash in
-              for c = 0 to a - 1 do
-                h := Row.combine_hash !h (Array.unsafe_get hs c)
-              done;
-              Row.of_array_hashed cells (!h land max_int))
-            keys
-        in
-        Relation.of_sorted_rows ~arity:a rows
+        let bound = ref 1 in
+        for _ = 1 to a do
+          bound := !bound * d
+        done;
+        sort_keys keys ~bound:!bound;
+        Relation.of_sorted_rows ~arity:a (Array.map (row_of_key dict d a) keys)
       end
       else begin
         let order = Array.init n (fun i -> i) in
@@ -533,11 +571,11 @@ let to_relation dict b =
           go 0
         in
         Array.sort cmp order;
-        Relation.of_sorted_rows ~arity:b.arity (Array.map decode_row order)
+        Relation.of_sorted_rows ~arity:a (Array.map (row_at dict cols a) order)
       end
     end
   end
-  else Relation.of_rows ~arity:b.arity (Array.init n decode_row)
+  else Relation.of_rows ~arity:a (Array.init n (row_at dict cols a))
 
 (* [filter pred b] keeps the logical rows satisfying [pred]; only the
    selection vector is rebuilt, columns are shared *)
@@ -566,93 +604,114 @@ let check_col op b c =
   if c < 0 || c >= b.arity then
     invalid_arg (Printf.sprintf "Columnar.%s: column %d of arity %d" op c b.arity)
 
+(* [injective ~arity ~equated cols]: projecting duplicate-free rows of
+   [arity] columns onto [cols] keeps them distinct when every column is
+   kept or, through the column equalities [equated] that hold on every
+   row, equal to a kept one — two rows that agree on the kept columns
+   then agree everywhere.  A permutation is the case with nothing
+   equated. *)
+let injective ~arity ~equated cols =
+  let parent = Array.init arity Fun.id in
+  let rec find c = if parent.(c) = c then c else find parent.(c) in
+  List.iter (fun (x, y) -> parent.(find x) <- find y) equated;
+  let kept = Array.make arity false in
+  Array.iter (fun c -> kept.(find c) <- true) cols;
+  let rec all c = c >= arity || (kept.(find c) && all (c + 1)) in
+  all 0
+
+(* The projection onto [cols] of [n] duplicate-free source rows of
+   [arity] columns, [sorted] as the source batch, on which [equated]
+   holds; [column c] is source column [c], dense.  The one place the
+   dedup tier is chosen, for {!project} and {!gather_project}:
+   - an injective projection has no duplicates to remove;
+   - a prefix of sorted rows stays sorted, so duplicates are adjacent;
+   - sorted rows whose first column survives in front stay grouped by
+     it, so the per-group dedup applies;
+   - anything else goes through the general table. *)
+let projection ~arity ~sorted ~equated cols column n =
+  let prefix = Array.for_all2 ( = ) cols (Array.init (Array.length cols) Fun.id) in
+  let res =
+    { arity = Array.length cols; nrows = n; cols = Array.map column cols; sel = None;
+      sorted = sorted && prefix }
+  in
+  if injective ~arity ~equated cols then res
+  else if res.sorted then dedup_adjacent res
+  else if sorted && Array.length cols > 0 && cols.(0) = 0 then dedup_grouped res
+  else dedup res
+
+(* batches never mutate their columns, so the kept ones are shared *)
 let project cols b =
   Array.iter (check_col "project" b) cols;
   let b = dense b in
-  let n = b.nrows in
-  let out = Array.map (fun c -> Array.copy b.cols.(c)) cols in
-  (* a prefix projection of sorted rows stays sorted (dedup removes the
-     equal neighbours); any other column selection scrambles lex order *)
-  let prefix = Array.for_all2 ( = ) cols (Array.init (Array.length cols) (fun i -> i)) in
-  let res =
-    { arity = Array.length cols; nrows = n; cols = out; sel = None;
-      sorted = b.sorted && prefix }
-  in
-  let is_permutation =
-    Array.length cols = b.arity
-    &&
-    let seen = Array.make b.arity false in
-    Array.for_all
-      (fun c ->
-        if seen.(c) then false
-        else begin
-          seen.(c) <- true;
-          true
-        end)
-      cols
-  in
-  if is_permutation then res (* injective on rows: no duplicates to remove *)
-  else if b.sorted && prefix then dedup_adjacent res
-  else if b.sorted && Array.length cols > 0 && cols.(0) = 0 then
-    (* lex-sorted input whose first column survives in front: rows stay
-       grouped by that column, so the per-group dedup applies *)
-    dedup_grouped res
-  else dedup res
+  projection ~arity:b.arity ~sorted:b.sorted ~equated:[] cols (fun c -> b.cols.(c)) b.nrows
 
-let product a b =
-  let a = dense a and b = dense b in
-  let arity = a.arity + b.arity in
-  let n = a.nrows and m = b.nrows in
-  if n = 0 || m = 0 then empty arity
-  else begin
-    let cols =
-      Array.init arity (fun c ->
-          let out = Array.make (n * m) 0 in
-          if c < a.arity then begin
-            let src = a.cols.(c) in
-            for i = 0 to n - 1 do
-              let v = Array.unsafe_get src i and base = i * m in
-              for j = 0 to m - 1 do
-                Array.unsafe_set out (base + j) v
-              done
-            done
-          end
-          else begin
-            let src = b.cols.(c - a.arity) in
-            for i = 0 to n - 1 do
-              let base = i * m in
-              for j = 0 to m - 1 do
-                Array.unsafe_set out (base + j) (Array.unsafe_get src j)
-              done
-            done
-          end;
-          out)
-    in
-    (* left-major: sorted left groups, each repeating sorted right rows *)
-    { arity; nrows = n * m; cols; sel = None; sorted = a.sorted && b.sorted }
-  end
+(* ------------------------------- joins ------------------------------- *)
 
-(* gather the pair lists (li, ri) into materialized output columns *)
-let materialize_pairs ~sorted a b li ri k =
-  let arity = a.arity + b.arity in
-  let cols =
-    Array.init arity (fun c ->
-        let out = Array.make k 0 in
-        if c < a.arity then begin
-          let src = a.cols.(c) in
-          for x = 0 to k - 1 do
-            Array.unsafe_set out x (Array.unsafe_get src (Array.unsafe_get li x))
-          done
-        end
-        else begin
-          let src = b.cols.(c - a.arity) in
-          for x = 0 to k - 1 do
-            Array.unsafe_set out x (Array.unsafe_get src (Array.unsafe_get ri x))
-          done
-        end;
-        out)
-  in
-  { arity; nrows = k; cols; sel = None; sorted }
+(* A join's matches: which left row meets which right row, in the output
+   order — explicit pair lists, or (a product) every pair, left-major.
+   The count settles the join node; columns are gathered only on demand,
+   all of them for a plain join and the kept ones under a projection. *)
+type source =
+  | Pairs of int array * int array  (* [li.(x)], [ri.(x)]: match [x]'s rows *)
+  | Cross
+
+type matches = {
+  left : t;  (* dense *)
+  right : t;  (* dense *)
+  equated : (int * int) list;  (* joined columns equal on every match *)
+  count : int;
+  source : source;
+  ordered : bool;  (* the joined batch's [sorted] flag *)
+}
+
+let matched m = m.count
+
+let pair_matches ~pairs a b li ri k =
+  { left = a;
+    right = b;
+    equated = List.map (fun (i, j) -> (i, a.arity + j)) pairs;
+    count = k;
+    source = Pairs (li, ri);
+    ordered = a.sorted && b.sorted }
+
+let no_matches a b = { (pair_matches ~pairs:[] a b [||] [||] 0) with ordered = true }
+
+(* joined column [c] of the matches *)
+let materialize_column m c =
+  let k = m.count and la = m.left.arity in
+  let out = Array.make k 0 in
+  (match m.source with
+  | Pairs (li, ri) ->
+    let src, ids = if c < la then (m.left.cols.(c), li) else (m.right.cols.(c - la), ri) in
+    for x = 0 to k - 1 do
+      Array.unsafe_set out x (Array.unsafe_get src (Array.unsafe_get ids x))
+    done
+  | Cross ->
+    (* left-major: each left row repeated, the right rows tiled *)
+    let w = m.right.nrows in
+    if c < la then
+      for i = 0 to m.left.nrows - 1 do
+        Array.fill out (i * w) w (Array.unsafe_get m.left.cols.(c) i)
+      done
+    else
+      for i = 0 to m.left.nrows - 1 do
+        Array.blit m.right.cols.(c - la) 0 out (i * w) w
+      done);
+  out
+
+let gather m =
+  let arity = m.left.arity + m.right.arity in
+  { arity; nrows = m.count; cols = Array.init arity (materialize_column m); sel = None;
+    sorted = m.ordered }
+
+let gather_project cols m =
+  let arity = m.left.arity + m.right.arity in
+  Array.iter
+    (fun c ->
+      if c < 0 || c >= arity then
+        invalid_arg (Printf.sprintf "Columnar.gather_project: column %d of arity %d" c arity))
+    cols;
+  projection ~arity ~sorted:m.ordered ~equated:m.equated cols (materialize_column m) m.count
 
 (* growable pair accumulator shared by the join paths *)
 type pair_acc = {
@@ -683,63 +742,65 @@ let acc_push acc i j =
      side is chained directly off the code — probe hits need no
      verification at all (code equality {e is} value equality);
    - compound keys: open-addressing on an FNV mix of the codes, with
-     exact code-for-code verification on collisions. *)
-let equijoin pairs a b =
+     exact code-for-code verification on collisions.
+   With no pairs every two rows match: the product. *)
+let join pairs a b =
   List.iter
     (fun (i, j) ->
       check_col "equijoin" a i;
       check_col "equijoin" b j)
     pairs;
-  if pairs = [] then product a b
+  let a = dense a and b = dense b in
+  if a.nrows = 0 || b.nrows = 0 then no_matches a b
+  else if pairs = [] then
+    (* left-major: sorted left groups, each repeating sorted right rows *)
+    { (pair_matches ~pairs a b [||] [||] (a.nrows * b.nrows)) with source = Cross }
   else begin
-    let a = dense a and b = dense b in
-    if a.nrows = 0 || b.nrows = 0 then empty (a.arity + b.arity)
-    else begin
-      let li, ri, npairs =
-        match pairs with
-        | [ (ic, jc) ] ->
-          let lcol = a.cols.(ic) and rcol = b.cols.(jc) in
-          let maxc = ref 0 in
-          for j = 0 to b.nrows - 1 do
-            let c = Array.unsafe_get rcol j in
-            if c > !maxc then maxc := c
-          done;
-          let m = !maxc in
-          let head = Array.make (m + 1) (-1) in
-          let next = Array.make b.nrows (-1) in
-          let cnt = Array.make (m + 1) 0 in
-          (* built back-to-front so each chain is in build-row order *)
-          for j = b.nrows - 1 downto 0 do
-            let c = Array.unsafe_get rcol j in
-            Array.unsafe_set next j (Array.unsafe_get head c);
-            Array.unsafe_set head c j;
-            Array.unsafe_set cnt c (Array.unsafe_get cnt c + 1)
-          done;
-          (* exact output size from the per-code chain lengths —
-             sequential count reads, so the fill pass below writes into
-             exactly-sized arrays with no growth checks *)
-          let total = ref 0 in
-          for i = 0 to a.nrows - 1 do
-            let c = Array.unsafe_get lcol i in
-            if c <= m then total := !total + Array.unsafe_get cnt c
-          done;
-          let li = Array.make (max 1 !total) 0 and ri = Array.make (max 1 !total) 0 in
-          let k = ref 0 in
-          for i = 0 to a.nrows - 1 do
-            let c = Array.unsafe_get lcol i in
-            if c <= m then begin
-              let j = ref (Array.unsafe_get head c) in
-              while !j >= 0 do
-                Array.unsafe_set li !k i;
-                Array.unsafe_set ri !k !j;
-                incr k;
-                j := Array.unsafe_get next !j
-              done
-            end
-          done;
-          (li, ri, !total)
-        | _ ->
-          let acc = acc_make (max 16 a.nrows) in
+    let li, ri, npairs =
+      match pairs with
+      | [ (ic, jc) ] ->
+        let lcol = a.cols.(ic) and rcol = b.cols.(jc) in
+        let maxc = ref 0 in
+        for j = 0 to b.nrows - 1 do
+          let c = Array.unsafe_get rcol j in
+          if c > !maxc then maxc := c
+        done;
+        let m = !maxc in
+        let head = Array.make (m + 1) (-1) in
+        let next = Array.make b.nrows (-1) in
+        let cnt = Array.make (m + 1) 0 in
+        (* built back-to-front so each chain is in build-row order *)
+        for j = b.nrows - 1 downto 0 do
+          let c = Array.unsafe_get rcol j in
+          Array.unsafe_set next j (Array.unsafe_get head c);
+          Array.unsafe_set head c j;
+          Array.unsafe_set cnt c (Array.unsafe_get cnt c + 1)
+        done;
+        (* exact output size from the per-code chain lengths —
+           sequential count reads, so the fill pass below writes into
+           exactly-sized arrays with no growth checks *)
+        let total = ref 0 in
+        for i = 0 to a.nrows - 1 do
+          let c = Array.unsafe_get lcol i in
+          if c <= m then total := !total + Array.unsafe_get cnt c
+        done;
+        let li = Array.make (max 1 !total) 0 and ri = Array.make (max 1 !total) 0 in
+        let k = ref 0 in
+        for i = 0 to a.nrows - 1 do
+          let c = Array.unsafe_get lcol i in
+          if c <= m then begin
+            let j = ref (Array.unsafe_get head c) in
+            while !j >= 0 do
+              Array.unsafe_set li !k i;
+              Array.unsafe_set ri !k !j;
+              incr k;
+              j := Array.unsafe_get next !j
+            done
+          end
+        done;
+        (li, ri, !total)
+      | _ ->
+        let acc = acc_make (max 16 a.nrows) in
         let lcols = Array.of_list (List.map (fun (i, _) -> a.cols.(i)) pairs) in
         let rcols = Array.of_list (List.map (fun (_, j) -> b.cols.(j)) pairs) in
         let nk = Array.length lcols in
@@ -807,14 +868,15 @@ let equijoin pairs a b =
             else s := (!s + 1) land mask
           done
         done;
-          (acc.li, acc.ri, acc.len)
-      in
-      (* probes run in row order and chains are in build-row order, so
-         sorted inputs give sorted output (grouped by left row, right
-         rows ascending within a group) *)
-      materialize_pairs ~sorted:(a.sorted && b.sorted) a b li ri npairs
-    end
+        (acc.li, acc.ri, acc.len)
+    in
+    (* probes run in row order and chains are in build-row order, so
+       sorted inputs give sorted output (grouped by left row, right
+       rows ascending within a group) *)
+    pair_matches ~pairs a b li ri npairs
   end
+
+let equijoin pairs a b = gather (join pairs a b)
 
 (* ---------------------------- access paths ---------------------------- *)
 
@@ -911,7 +973,7 @@ let join_index_right pairs a b ix =
   | [] -> invalid_arg "Columnar.join_index_right: no join pairs"
   | (ic, _) :: rest ->
     let a = dense a in
-    if a.nrows = 0 || b.nrows = 0 then Some (empty (a.arity + b.arity))
+    if a.nrows = 0 || b.nrows = 0 then Some (no_matches a b)
     else begin
       let lcol = a.cols.(ic) in
       let total = postings_total ix lcol a.nrows in
@@ -933,7 +995,7 @@ let join_index_right pairs a b ix =
               end
             done
         done;
-        Some (materialize_pairs ~sorted:(a.sorted && b.sorted) a b li ri !k)
+        Some (pair_matches ~pairs a b li ri !k)
       end
     end
 
@@ -954,7 +1016,7 @@ let join_index_left pairs a ix b =
   | (_, jc) :: rest ->
     let b = dense b in
     let m = b.nrows in
-    if a.nrows = 0 || m = 0 then Some (empty (a.arity + b.arity))
+    if a.nrows = 0 || m = 0 then Some (no_matches a b)
     else begin
       let rcol = b.cols.(jc) in
       let total = postings_total ix rcol m in
@@ -978,9 +1040,9 @@ let join_index_left pairs a ix b =
             done
         done;
         let keys = Array.sub keys 0 !k in
-        if not !ordered then sort_ints keys;
+        if not !ordered then sort_keys keys ~bound:(a.nrows * m);
         let li = Array.map (fun key -> key / m) keys and ri = Array.map (fun key -> key mod m) keys in
-        Some (materialize_pairs ~sorted:(a.sorted && b.sorted) a b li ri !k)
+        Some (pair_matches ~pairs a b li ri !k)
       end
     end
 

@@ -7,7 +7,8 @@
     index-only.  All batches of one plan evaluation share a {!Dict}:
     value equality is code equality, and when the dictionary was built
     rank-ordered ({!Dict.of_sorted_values}) the final conversion back to
-    a canonical {!Relation} sorts unboxed ints only.
+    a canonical {!Relation} sorts unboxed ints only and allocates one
+    bare {!Row} per answer row.
 
     Every operator maintains the set-semantics invariant (logical rows
     duplicate-free), so per-operator cardinalities — and hence budget
@@ -46,10 +47,6 @@ module Dict : sig
       nowhere in the encoded data. *)
 
   val decode : t -> int -> Value.t
-
-  val hash_code : t -> int -> int
-  (** [hash_code d code] is [Value.hash (decode d code)], served from a
-      per-code cache — the decode path never rehashes a boxed value. *)
 end
 
 type t = private {
@@ -71,8 +68,13 @@ val of_relation : Dict.t -> Relation.t -> t
 (** Encode a relation's rows through the dictionary. *)
 
 val to_relation : Dict.t -> t -> Relation.t
-(** Decode back to a canonical relation; int-code sort when the
-    dictionary is rank-{!Dict.ordered}, value sort otherwise. *)
+(** Decode back to a canonical relation, one bare row per logical row
+    whose cells are the dictionary's own values.  With a
+    rank-{!Dict.ordered} dictionary a [sorted] batch needs no sort, and
+    any other batch sorts its rows packed one per word when [d^a] fits a
+    word (for [d] codes and arity [a]) — by LSD radix sort from a few
+    thousand rows up, quicksort below — or by a code-comparing sort
+    otherwise; an unordered dictionary sorts the decoded rows by value. *)
 
 val dense : t -> t
 (** Resolve the selection vector (logical = physical afterwards). *)
@@ -82,20 +84,46 @@ val filter : (int -> bool) -> t -> t
     row numbers); builds a selection vector, never copies columns. *)
 
 val project : int array -> t -> t
-(** Keep the listed columns in order (indices may repeat), then
-    deduplicate. *)
+(** Keep the listed columns in order (indices may repeat; the columns
+    are shared, not copied), then deduplicate.  A projection that keeps
+    every column skips the dedup; a prefix of sorted rows dedups
+    adjacent rows, and sorted rows that keep their first column in front
+    dedup per group of it. *)
 
-val product : t -> t -> t
+(** {2 Joins}
+
+    A join runs in two steps: a kernel finds its {!matches} (which left
+    row meets which right row), whose count settles the join's
+    cardinality, and then only the columns the consumer needs are
+    gathered from them. *)
+
+type matches
+
+val join : (int * int) list -> t -> t -> matches
+(** Hash equijoin over code columns: builds on the right operand, probes
+    with the left; matches are left-major.  No pairs is the product. *)
+
+val matched : matches -> int
+(** The join's cardinality. *)
+
+val gather : matches -> t
+(** The joined batch: the left row's columns, then the right row's. *)
+
+val gather_project : int array -> matches -> t
+(** [gather_project cols m] is [project cols (gather m)] — same rows, same
+    physical order, same [sorted] flag — gathering only the columns in
+    [cols].  Dedup is skipped when the projection is injective on the
+    join: every dropped column is equated, through the join pairs, with
+    a kept one. *)
 
 val equijoin : (int * int) list -> t -> t -> t
-(** Hash equijoin over code columns: builds on the right operand, probes
-    with the left; output is left-major. *)
+(** [gather (join pairs a b)]. *)
 
 (** {2 Access paths}
 
     A base batch (a state relation's image, dense) can carry one
     {!index} per column.  The probe operators below answer exactly what
-    {!filter} and {!equijoin} answer, in the same row order, without
+    {!filter} and {!join} answer, in the same row order, without
     scanning or hashing the base batch. *)
 
 type index
@@ -113,15 +141,15 @@ val select_code : index -> t -> int -> t
     indexed column holds [code], as a selection vector over [b]. A code
     the index does not cover (an overlay value) selects nothing. *)
 
-val join_index_right : (int * int) list -> t -> t -> index -> t option
-(** [join_index_right pairs a b ix] is [Some (equijoin pairs a b)] for a
+val join_index_right : (int * int) list -> t -> t -> index -> matches option
+(** [join_index_right pairs a b ix] is [Some (join pairs a b)] for a
     dense [b] whose column [snd (List.hd pairs)] [ix] indexes: [a]'s rows
     probe the postings and the other pairs are checked per match. [None]
     when there are other pairs and the postings to check outnumber
     [nrows a + nrows b], the rows a hash join would touch. *)
 
-val join_index_left : (int * int) list -> t -> index -> t -> t option
-(** [join_index_left pairs a ix b] is [Some (equijoin pairs a b)] for a
+val join_index_left : (int * int) list -> t -> index -> t -> matches option
+(** [join_index_left pairs a ix b] is [Some (join pairs a b)] for a
     dense [a] whose column [fst (List.hd pairs)] [ix] indexes: [b]'s rows
     probe, and the matches are sorted back into left-major order. [None]
     when the postings outnumber [nrows a + nrows b]. *)

@@ -344,7 +344,9 @@ let eval_columnar ~state ~settle ~domain_pred plan =
      per-node fault hits and budget charges.  Access paths change only
      how a node's rows are found: a [Rel] child settles its full
      cardinality before the parent probes its index, so every node
-     charges exactly what a scan would. *)
+     charges exactly what a scan would.  Likewise a projection of a join
+     gathers only its kept columns, but the join still settles its full
+     cardinality first. *)
   let rec go node =
     let out =
       match node with
@@ -362,27 +364,11 @@ let eval_columnar ~state ~settle ~domain_pred plan =
       | Select (cond, p) ->
         let b = go p in
         C.filter (compile_cond cond b) b
+      | Project (cols, (Product (p, q) as j)) -> gather_project cols j (matches [] p q)
+      | Project (cols, (Join (pairs, p, q) as j)) -> gather_project cols j (matches pairs p q)
       | Project (cols, p) -> C.project (Array.of_list cols) (go p)
-      | Product (p, q) ->
-        let bq = go q in
-        let bp = go p in
-        C.product bp bq
-      | Join (pairs, p, q) -> (
-        let bq = go q in
-        let bp = go p in
-        let probed =
-          match (pairs, p, q) with
-          | (_, j) :: _, _, Rel name when base_col q j ->
-            C.join_index_right pairs bp bq (column_index ~codes (base_of name) j)
-          | (i, _) :: _, Rel name, _ when base_col p i ->
-            C.join_index_left pairs bp (column_index ~codes (base_of name) i) bq
-          | _ -> None
-        in
-        match probed with
-        | Some out ->
-          incr probes;
-          out
-        | None -> C.equijoin pairs bp bq)
+      | Product (p, q) -> C.gather (matches [] p q)
+      | Join (pairs, p, q) -> C.gather (matches pairs p q)
       | Union (p, q) ->
         let bq = go q in
         let bp = go p in
@@ -394,6 +380,29 @@ let eval_columnar ~state ~settle ~domain_pred plan =
     in
     settle node (C.nrows out);
     out
+  (* the matches of [Join (pairs, p, q)] (no pairs: the product), found
+     through an index when one side is a base relation *)
+  and matches pairs p q =
+    let bq = go q in
+    let bp = go p in
+    let probed =
+      match (pairs, p, q) with
+      | (_, j) :: _, _, Rel name when base_col q j ->
+        C.join_index_right pairs bp bq (column_index ~codes (base_of name) j)
+      | (i, _) :: _, Rel name, _ when base_col p i ->
+        C.join_index_left pairs bp (column_index ~codes (base_of name) i) bq
+      | _ -> None
+    in
+    match probed with
+    | Some m ->
+      incr probes;
+      m
+    | None -> C.join pairs bp bq
+  (* the join node settles its full cardinality before the projection
+     gathers and dedups its kept columns *)
+  and gather_project cols join m =
+    settle join (C.matched m);
+    C.gather_project (Array.of_list cols) m
   in
   let out = go plan in
   (C.to_relation dict out, !probes)

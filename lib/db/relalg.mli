@@ -63,6 +63,12 @@ val eval :
     base relation still settles, and is charged, as if scanned. The span's
     [index_probes] attribute counts the nodes that used an index.
 
+    A projection of a join (or of a product) gathers only its kept
+    columns from the join's matches ({!Columnar.gather_project}), and
+    skips deduplication when the join pairs make it injective. The join
+    node still settles, and is charged, its full cardinality before the
+    projection does. The answer is decoded into bare {!Row}s.
+
     Each operator settles at the fault site [relalg.node], children
     right-to-left. Answers and budget verdicts are property-tested against
     a naive tuple-list oracle in [test/test_columnar.ml]: the plan answers

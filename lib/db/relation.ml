@@ -3,7 +3,7 @@ type tuple = Value.t list
 (* Rows are kept in a sorted, duplicate-free array (ascending
    Row.compare, i.e. lexicographic by Value.compare) — the same canonical
    order the original Tset representation exposed, but with O(1) column
-   access, precomputed hashes and cache-friendly scans. *)
+   access and cache-friendly scans. *)
 type t = { arity : int; rows : Row.t array }
 
 let check_arity arity tup =

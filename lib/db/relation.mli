@@ -6,8 +6,7 @@
     0-ary relations, "true" and "false") are representable, as relational
     algebra requires.
 
-    Internally tuples are array-backed {!Row}s with precomputed hashes,
-    stored in a sorted duplicate-free array with O(1) column access. The
+    Internally tuples are array-backed {!Row}s, stored in a sorted duplicate-free array with O(1) column access. The
     list-based [tuple] API is preserved on top. The algebra over
     relations is {!Relalg.eval}. *)
 

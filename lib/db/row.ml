@@ -1,50 +1,39 @@
-(* Array-backed tuples with a precomputed hash — the execution engine's
-   row representation. The hash is combined left-to-right so equal rows
-   always agree, and equality checks can reject on the hash before
-   touching the cells. *)
+(* Array-backed tuples — the execution engine's row representation. A
+   row is its cells array itself: one heap block per row. *)
 
-type t = { cells : Value.t array; hash : int }
+type t = Value.t array
 
-(* A multiplicative mix (FNV-style) over the per-value hashes. *)
-let combine h v = (h * 0x01000193) lxor v
-let combine_hash = combine
-let seed_hash = 0x811c9dc5
+let of_array cells = cells
+let of_list tup = Array.of_list tup
+let to_list r = Array.to_list r
+let cells r = r
+let arity r = Array.length r
+let get r i = r.(i)
 
-let hash_cells cells =
-  Array.fold_left (fun h v -> combine h (Value.hash v)) seed_hash cells land max_int
-
-let of_array cells = { cells; hash = hash_cells cells }
-let of_array_hashed cells hash = { cells; hash }
-let of_list tup = of_array (Array.of_list tup)
-let to_list r = Array.to_list r.cells
-let cells r = r.cells
-let hash r = r.hash
-let arity r = Array.length r.cells
-let get r i = r.cells.(i)
+(* A multiplicative mix (FNV-style) over the per-value hashes, folded
+   left-to-right so equal rows always agree. *)
+let hash r =
+  Array.fold_left (fun h v -> (h * 0x01000193) lxor Value.hash v) 0x811c9dc5 r land max_int
 
 let equal a b =
-  a.hash = b.hash
+  let n = Array.length a in
+  n = Array.length b
   &&
-  let n = Array.length a.cells in
-  n = Array.length b.cells
-  &&
-  let rec go i = i >= n || (Value.equal a.cells.(i) b.cells.(i) && go (i + 1)) in
+  let rec go i = i >= n || (Value.equal a.(i) b.(i) && go (i + 1)) in
   go 0
 
 let compare a b =
-  let n = Array.length a.cells and m = Array.length b.cells in
+  let n = Array.length a and m = Array.length b in
   let rec go i =
     if i >= n then if i >= m then 0 else -1
     else if i >= m then 1
     else
-      let c = Value.compare a.cells.(i) b.cells.(i) in
+      let c = Value.compare a.(i) b.(i) in
       if c <> 0 then c else go (i + 1)
   in
   go 0
 
 let pp fmt r =
   Format.fprintf fmt "(%a)"
-    (Format.pp_print_seq
-       ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ")
-       Value.pp)
-    (Array.to_seq r.cells)
+    (Format.pp_print_seq ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ") Value.pp)
+    (Array.to_seq r)

@@ -15,7 +15,9 @@ let compare a b =
   | Str _, Int _ -> 1
   | Str x, Str y -> String.compare x y
 
-let equal a b = compare a b = 0
+(* dictionary-decoded cells are shared, so equal values are often the
+   same block *)
+let equal a b = a == b || compare a b = 0
 
 let hash = function
   | Int n -> Bigint.hash n

@@ -18,6 +18,8 @@ val compare : t -> t -> int
 (** Total order: all [Int]s before all [Str]s. *)
 
 val equal : t -> t -> bool
+(** Physically equal values are equal without a comparison. *)
+
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

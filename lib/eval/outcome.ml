@@ -83,14 +83,16 @@ let rec map_result f = function
   | x :: rest ->
     Result.bind (f x) (fun y -> Result.map (fun ys -> y :: ys) (map_result f rest))
 
+(* every row is checked against the arity here, so a malformed token is
+   an [Error] reply, never an exception in the reader *)
 let relation_of_json j =
   match (Option.bind (Json.member "arity" j) Json.to_int_opt, Json.member "rows" j) with
-  | Some arity, Some (Json.List rows) ->
+  | Some arity, Some (Json.List rows) when arity >= 0 ->
     Result.map
       (fun rows -> Relation.of_rows ~arity (Array.of_list (List.map Row.of_list rows)))
       (map_result
          (function
-           | Json.List vs -> map_result value_of_json vs
+           | Json.List vs when List.length vs = arity -> map_result value_of_json vs
            | j -> Error ("outcome: bad row " ^ Json.to_string j))
          rows)
   | _ -> Error ("outcome: bad relation " ^ Json.to_string j)

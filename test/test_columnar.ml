@@ -15,6 +15,7 @@ module Columnar = Fq_db.Columnar
 module Schema = Fq_db.Schema
 module State = Fq_db.State
 module Value = Fq_db.Value
+module Row = Fq_db.Row
 
 let vi = Value.int
 let schema = Schema.make [ ("A", 1); ("B", 2); ("C", 3) ]
@@ -111,6 +112,45 @@ let gen_indexed sub arity =
   in
   if arity >= 2 then oneof [ select; join () ] else select
 
+(* The columns of [Join (pairs, p, q)], [p] of arity [a1], left after
+   dropping every right column a pair equates to a left one: projecting
+   onto them is injective on the join. *)
+let join_kept a1 a2 pairs =
+  List.filter
+    (fun c -> not (List.exists (fun (_, j) -> c = a1 + j) pairs))
+    (List.init (a1 + a2) Fun.id)
+
+(* A projection of a join, which the engine answers by gathering only
+   the kept columns from the join's matches.  Column lists are random
+   (repeats allowed) or injective through the join pairs (every right
+   column a pair equates to a left one is dropped), base relations stand
+   on either side so the index paths run, and operands may be empty. *)
+let gen_project_join sub arity =
+  let open QCheck.Gen in
+  int_range 1 3 >>= fun a1 ->
+  int_range 1 3 >>= fun a2 ->
+  list_size (int_range 0 2) (pair (int_range 0 (a1 - 1)) (int_range 0 (a2 - 1))) >>= fun pairs ->
+  let side a =
+    frequency
+      [ (2, sub a); (2, return (Relalg.Rel (rel_of_arity a)));
+        (1, return (Relalg.Lit (Relation.empty ~arity:a))) ]
+  in
+  let random_cols = list_repeat arity (int_range 0 (a1 + a2 - 1)) in
+  let kept = join_kept a1 a2 pairs in
+  let cols =
+    if arity = 0 || List.length kept > arity then random_cols
+    else
+      frequency
+        [ (1, random_cols);
+          ( 2,
+            shuffle_l kept >>= fun kept ->
+            map (fun pad -> kept @ pad)
+              (list_repeat (arity - List.length kept) (oneofl kept)) ) ]
+  in
+  map3
+    (fun cols p q -> Relalg.Project (cols, Relalg.Join (pairs, p, q)))
+    cols (side a1) (side a2)
+
 let rec gen_plan fuel arity =
   let open QCheck.Gen in
   let base =
@@ -153,7 +193,7 @@ let rec gen_plan fuel arity =
     let indexed = if arity = 0 || arity > 3 then base else gen_indexed sub arity in
     frequency
       [ (2, base); (3, select); (2, project); (2, product); (2, join); (2, union);
-        (2, diff); (3, indexed) ]
+        (2, diff); (3, indexed); (3, gen_project_join sub arity) ]
 
 let gen_scenario =
   QCheck.Gen.(
@@ -322,6 +362,12 @@ let test_permutation_projection () =
   Alcotest.(check bool) "swap swaps" true
     (Relation.equal p (r2 [ [ vi 2; vi 1 ]; [ vi 1; vi 2 ]; [ vi 1; vi 1 ] ]))
 
+(* same rows, same physical order, same sortedness *)
+let same_batch (x : Columnar.t) (y : Columnar.t) =
+  let x = Columnar.dense x and y = Columnar.dense y in
+  x.nrows = y.nrows && x.sorted = y.sorted && x.arity = y.arity
+  && Array.for_all2 (fun cx cy -> Array.sub cx 0 x.nrows = Array.sub cy 0 y.nrows) x.cols y.cols
+
 (* The probe kernels against the scan and hash kernels they replace, on
    one base batch: same rows, same physical order, same sortedness.
    Probe-side values outside the base dictionary land in an overlay, as
@@ -348,17 +394,14 @@ let prop_probe_kernels =
       let q = Columnar.of_relation dict rq in
       let codes = Columnar.Dict.size base in
       let ix = Array.init 2 (fun c -> Columnar.build_index ~codes b c) in
-      let same (x : Columnar.t) (y : Columnar.t) =
-        let x = Columnar.dense x and y = Columnar.dense y in
-        x.nrows = y.nrows && x.sorted = y.sorted
-        && Array.for_all2 (fun cx cy -> Array.sub cx 0 x.nrows = Array.sub cy 0 y.nrows) x.cols y.cols
-      in
       let rpairs = List.map (fun (i, j) -> (i mod qa, j)) pairs in
       let lpairs = List.map (fun (i, j) -> (j, i mod qa)) pairs in
-      let agrees probe scan = match probe with None -> true | Some p -> same p scan in
+      let agrees probe scan =
+        match probe with None -> true | Some m -> same_batch (Columnar.gather m) scan
+      in
       List.for_all
         (fun c ->
-          same (Columnar.select_code ix.(c) b code)
+          same_batch (Columnar.select_code ix.(c) b code)
             (Columnar.filter (fun i -> b.cols.(c).(i) = code) b))
         [ 0; 1 ]
       && agrees
@@ -367,6 +410,154 @@ let prop_probe_kernels =
       && agrees
            (Columnar.join_index_left lpairs b ix.(fst (List.hd lpairs)) q)
            (Columnar.equijoin lpairs b q))
+
+(* The gathered path against the plain one: projecting the join's
+   matches onto [cols] gives [project cols] of the full join — same rows,
+   same physical order, same [sorted] flag — on the hash path and on
+   both index paths, over sorted and unsorted operands, with random and
+   join-injective column lists. *)
+let gen_gather_case =
+  QCheck.Gen.(
+    let v = map vi (int_range 0 5) in
+    let operand =
+      int_range 1 3 >>= fun a ->
+      map2 (fun rows flip -> (a, rows, flip)) (list_size (int_range 0 10) (list_repeat a v)) bool
+    in
+    pair operand (pair operand bool) >>= fun ((a1, r1, f1), ((a2, r2, f2), injective)) ->
+    list_size (int_range 0 2) (pair (int_range 0 (a1 - 1)) (int_range 0 (a2 - 1)))
+    >>= fun pairs ->
+    (if injective then
+       shuffle_l (join_kept a1 a2 pairs) >>= fun kept ->
+       map (fun pad -> kept @ pad) (list_size (int_range 0 2) (oneofl kept))
+     else list_size (int_range 0 4) (int_range 0 (a1 + a2 - 1)))
+    >>= fun cols -> return ((a1, r1, f1), (a2, r2, f2), pairs, Array.of_list cols))
+
+let print_gather_case ((a1, r1, _), (a2, r2, _), pairs, cols) =
+  let rel a rows = Format.asprintf "%a" Relation.pp (Relation.make ~arity:a rows) in
+  Printf.sprintf "%s |x|[%s] %s, cols [%s]" (rel a1 r1)
+    (String.concat "," (List.map (fun (i, j) -> Printf.sprintf "%d=%d" i j) pairs))
+    (rel a2 r2)
+    (String.concat "," (Array.to_list (Array.map string_of_int cols)))
+
+let prop_gather_project =
+  QCheck.Test.make ~name:"gathered projection equals project of the join" ~count:600
+    (QCheck.make ~print:print_gather_case gen_gather_case)
+    (fun ((a1, r1, f1), (a2, r2, f2), pairs, cols) ->
+      let r1 = Relation.make ~arity:a1 r1 and r2 = Relation.make ~arity:a2 r2 in
+      let dict =
+        Columnar.Dict.of_sorted_values
+          (List.sort_uniq Value.compare (Relation.values r1 @ Relation.values r2))
+      in
+      (* a reversing permutation leaves the operand unsorted *)
+      let operand a r flip =
+        let b = Columnar.of_relation dict r in
+        if flip && a > 1 then Columnar.project (Array.init a (fun c -> a - 1 - c)) b else b
+      in
+      let p = operand a1 r1 f1 and q = operand a2 r2 f2 in
+      (* a declined probe ([None]) has nothing to compare *)
+      let check p q = function
+        | None -> true
+        | Some m ->
+          same_batch (Columnar.gather_project cols m)
+            (Columnar.project cols (Columnar.equijoin pairs p q))
+      in
+      (* the index paths take a base operand: dense, as encoded *)
+      let codes = Columnar.Dict.size dict in
+      let bp = Columnar.of_relation dict r1 and bq = Columnar.of_relation dict r2 in
+      check p q (Some (Columnar.join pairs p q))
+      &&
+      match pairs with
+      | [] -> true
+      | (i, j) :: _ ->
+        check p bq (Columnar.join_index_right pairs p bq (Columnar.build_index ~codes bq j))
+        && check bp q (Columnar.join_index_left pairs bp (Columnar.build_index ~codes bp i) q))
+
+(* Materialization: [to_relation] of a duplicate-free batch in shuffled
+   physical order equals [Relation.of_rows] of its decoded rows.  Sizes
+   straddle the radix sort's cutoff (4,096 packed keys) at arities 1-3;
+   arity 8 over 256 codes packs past a word, so the code-comparing sort
+   runs; and a plan literal with values below and above the state's
+   fills the evaluation's overlay out of order, so the answer takes the
+   value sort.  The rows are drawn from a seeded stream, not by QCheck:
+   thousands of them would drown the shrinker. *)
+type materialization = Packed of int * int | Wide of int | Overlay of int
+
+let gen_materialization =
+  QCheck.Gen.(
+    pair
+      (frequency
+         [ ( 4,
+             map2
+               (fun a n -> Packed (a, n))
+               (int_range 1 3)
+               (frequency [ (2, int_range 0 60); (1, int_range 3500 4095); (2, int_range 4096 6000) ])
+           );
+           (1, map (fun n -> Wide n) (int_range 0 300));
+           (1, map (fun n -> Overlay n) (int_range 0 5000)) ])
+      int)
+
+let print_materialization (case, seed) =
+  (match case with
+  | Packed (a, n) -> Printf.sprintf "packed arity %d, %d rows" a n
+  | Wide n -> Printf.sprintf "wide, %d rows" n
+  | Overlay n -> Printf.sprintf "overlay literal, %d rows" n)
+  ^ Printf.sprintf ", seed %d" seed
+
+(* up to [n] distinct rows of [arity] values in [lo, lo + span), in draw
+   order; [4n] draws at most *)
+let random_rows rng ~arity ~lo ~span n =
+  let seen = Hashtbl.create (max 16 n) in
+  let rec draw k acc =
+    if Hashtbl.length seen = n || k = 0 then List.rev acc
+    else
+      let row = List.init arity (fun _ -> vi (lo + Random.State.int rng span)) in
+      if Hashtbl.mem seen row then draw (k - 1) acc
+      else begin
+        Hashtbl.add seen row ();
+        draw (k - 1) (row :: acc)
+      end
+  in
+  draw (4 * n) []
+
+(* one batch holding [rows] in that physical order: a balanced tree of
+   unions over single-row batches (a union keeps its left rows first) *)
+let rec batch_of dict arity = function
+  | [] -> Columnar.empty arity
+  | [ row ] -> Columnar.of_relation dict (Relation.make ~arity [ row ])
+  | rows ->
+    let half = List.length rows / 2 in
+    let left = List.filteri (fun i _ -> i < half) rows in
+    let right = List.filteri (fun i _ -> i >= half) rows in
+    Columnar.union (batch_of dict arity left) (batch_of dict arity right)
+
+let prop_materialization =
+  QCheck.Test.make ~name:"to_relation equals of_rows of the decoded rows" ~count:40
+    (QCheck.make ~print:print_materialization gen_materialization)
+    (fun (case, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let decoded arity span rows =
+        let dict = Columnar.Dict.of_sorted_values (List.init span vi) in
+        let b = Columnar.dense (batch_of dict arity rows) in
+        let cells i = Array.map (fun col -> Columnar.Dict.decode dict col.(i)) b.Columnar.cols in
+        b.Columnar.nrows = List.length rows
+        && Relation.equal
+             (Columnar.to_relation dict b)
+             (Relation.of_rows ~arity (Array.init b.Columnar.nrows (fun i -> Row.of_array (cells i))))
+      in
+      match case with
+      | Packed (arity, n) ->
+        let span = match arity with 1 -> (2 * n) + 1 | 2 -> 120 | _ -> 30 in
+        decoded arity span (random_rows rng ~arity ~lo:0 ~span n)
+      | Wide n ->
+        (* 256^8 = 2^64 codes do not pack into one word *)
+        decoded 8 256 (random_rows rng ~arity:8 ~lo:0 ~span:256 n)
+      | Overlay n ->
+        let b = random_rows rng ~arity:2 ~lo:0 ~span:50 n in
+        let lit = Relation.make ~arity:2 (random_rows rng ~arity:2 ~lo:(-25) ~span:100 n) in
+        let state = State.make ~schema [ ("B", Relation.make ~arity:2 b) ] in
+        Relation.equal
+          (Relation.make ~arity:2 (b @ Relation.tuples lit))
+          (Relalg.eval ~state (Relalg.Union (Relalg.Rel "B", Relalg.Lit lit))))
 
 (* Indexes build lazily on the shared state image, so domains that
    evaluate anchored plans on one fresh state race to build them; every
@@ -426,6 +617,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_fuel_verdict_exact ] );
       ( "kernels",
         [ QCheck_alcotest.to_alcotest prop_probe_kernels;
+          QCheck_alcotest.to_alcotest prop_gather_project;
+          QCheck_alcotest.to_alcotest prop_materialization;
           Alcotest.test_case "relation round-trip" `Quick test_roundtrip;
           Alcotest.test_case "projection deduplicates" `Quick test_projection_dedups;
           Alcotest.test_case "permutation projection keeps rows" `Quick

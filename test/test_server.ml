@@ -921,6 +921,47 @@ let test_serve_oversized_line () =
   | Ok _ -> Alcotest.fail "connection must survive an oversize line"
   | Error e -> Alcotest.failf "ping after oversize: %s" e
 
+(* A resume token whose row does not match its arity is a malformed
+   request: the reply says so, and the same connection then answers a
+   ping.  Sent as a raw line, since the typed client cannot build such a
+   token. *)
+let test_serve_ragged_resume_token () =
+  let cfg = base_config (fresh_addr ()) in
+  with_server cfg @@ fun _ ->
+  let path = match cfg.Server.addr with Server.Unix_path p -> p | Server.Tcp _ -> assert false in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  (* a server that never answers fails the read instead of hanging it *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  let ic = Unix.in_channel_of_descr fd in
+  let exchange line =
+    let line = line ^ "\n" in
+    ignore (Unix.write_substring fd line 0 (String.length line));
+    match Json.parse (input_line ic) with
+    | Ok j -> Protocol.classify_reply j
+    | Error e -> Error e
+  in
+  (match
+     exchange
+       {|{"op":"eval","id":"1","formula":"E(x,y)","resume":{"seen":0,"found":{"arity":2,"rows":[["a"]]}}}|}
+   with
+  | Ok (_, Protocol.R_malformed reason) ->
+    Alcotest.(check bool) "names the bad row" true (contains reason "bad row")
+  | Ok _ -> Alcotest.fail "expected malformed for a ragged resume token"
+  | Error e -> Alcotest.failf "ragged token: %s" e);
+  (match
+     exchange
+       {|{"op":"eval","id":"2","formula":"E(x,y)","resume":{"seen":0,"found":{"arity":-1,"rows":[]}}}|}
+   with
+  | Ok (_, Protocol.R_malformed _) -> ()
+  | Ok _ -> Alcotest.fail "expected malformed for a negative arity"
+  | Error e -> Alcotest.failf "negative arity: %s" e);
+  match exchange {|{"op":"ping","id":"p"}|} with
+  | Ok ("p", Protocol.R_ok _) -> ()
+  | Ok _ -> Alcotest.fail "connection must survive a bad resume token"
+  | Error e -> Alcotest.failf "ping after bad token: %s" e
+
 let test_serve_watchdog () =
   let release = Atomic.make false in
   let wedged =
@@ -1602,6 +1643,8 @@ let () =
             test_serve_reload_anchored;
           Alcotest.test_case "oversize line answered and drained" `Quick
             test_serve_oversized_line;
+          Alcotest.test_case "ragged resume token answered, connection kept" `Quick
+            test_serve_ragged_resume_token;
           Alcotest.test_case "failed snapshot save leaves the old snapshot intact" `Quick
             test_snapshot_save_fault_containment;
           Alcotest.test_case "compaction keeps verdicts journaled during a save" `Quick

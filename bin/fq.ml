@@ -123,13 +123,13 @@ let write_profile path (treport : Telemetry.report) =
   output_string oc
     "# fq stats profile: FINGERPRINT COUNT MEAN (relalg node output cardinality)\n";
   List.iter
-    (fun (name, (h : Telemetry.histogram)) ->
-      if String.length name > plen && String.sub name 0 plen = prefix && h.Telemetry.count > 0
-      then
+    (fun (name, h) ->
+      match Fq_core.Aggregate.mean h with
+      | Some mean when String.length name > plen && String.sub name 0 plen = prefix ->
         Printf.fprintf oc "%s %d %g\n"
           (String.sub name plen (String.length name - plen))
-          h.Telemetry.count
-          (h.Telemetry.sum /. float_of_int h.Telemetry.count))
+          h.Telemetry.count mean
+      | _ -> ())
     treport.Telemetry.histograms;
   close_out oc
 
@@ -758,38 +758,17 @@ let explain_cmd =
                      (String.concat ", " names)
                  | _ -> ());
                  Format.printf "cost model (estimated vs observed output cardinality):@.";
-                 let seen = Hashtbl.create 16 in
-                 let rec walk node =
-                   let fp = Relalg.fingerprint node in
-                   if not (Hashtbl.mem seen fp) then begin
-                     Hashtbl.add seen fp ();
-                     let est =
-                       match Optimizer.estimate st ~arity_of node with
-                       | e -> Printf.sprintf "%.1f" e
-                       | exception _ -> "?"
-                     in
+                 List.iter
+                   (fun (fp, node, est, h) ->
+                     let est = match est with Some e -> Printf.sprintf "%.1f" e | None -> "?" in
                      let actual =
-                       match
-                         List.assoc_opt (Relalg.node_metric fp) treport.Telemetry.histograms
-                       with
-                       | Some h when h.Telemetry.count > 0 ->
-                         Printf.sprintf "%.0f" (h.Telemetry.sum /. float_of_int h.Telemetry.count)
-                       | _ -> "-"
+                       match Option.bind h Fq_core.Aggregate.mean with
+                       | Some mean -> Printf.sprintf "%.0f" mean
+                       | None -> "-"
                      in
                      Format.printf "  %-8s  est %-9s actual %-6s %s@." fp est actual
-                       (node_label node)
-                   end;
-                   match node with
-                   | Relalg.Rel _ | Relalg.Lit _ -> ()
-                   | Relalg.Select (_, p) | Relalg.Project (_, p) -> walk p
-                   | Relalg.Product (p, q)
-                   | Relalg.Join (_, p, q)
-                   | Relalg.Union (p, q)
-                   | Relalg.Diff (p, q) ->
-                     walk p;
-                     walk q
-                 in
-                 walk plan);
+                       (node_label node))
+                   (Optimizer.est_vs_observed st ~arity_of treport plan));
                let s = Decide_cache.stats cache in
                if s.Decide_cache.hits + s.Decide_cache.misses > 0 then
                  Format.printf "decide cache: %d hits / %d lookups (%.0f%% hit rate)%s@."

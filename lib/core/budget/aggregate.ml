@@ -3,14 +3,15 @@
    dimensions, and a versioned Prometheus text exposition.
 
    Telemetry (telemetry.ml) is request-scoped: a collector lives for one
-   evaluation and its histograms keep only count/sum/min/max.  The serve
-   daemon needs the opposite trade: metrics that accumulate for the
-   process lifetime, answer quantile queries, and render to a scrape
-   format — at a cost low enough to leave on permanently.  A fixed
-   bucket layout makes observation O(1) (a log2 and an array increment,
-   no allocation) and makes merged histograms associative: two hists
-   observed on different worker domains merge bucket-wise with no loss
-   beyond the bucket width that was already accepted at observe time. *)
+   evaluation, and it records into these same histograms.  The serve
+   daemon merges them into metrics that accumulate for the process
+   lifetime, answer quantile queries, and render to a scrape format — at
+   a cost low enough to leave on permanently.  A fixed bucket layout
+   makes observation O(1) (a log2 and an array increment; it allocates
+   only when a value lands outside the span of buckets seen so far) and
+   makes merged histograms associative: two hists observed on different
+   worker domains merge bucket-wise with no loss beyond the bucket width
+   that was already accepted at observe time. *)
 
 (* ---- bucket layout ------------------------------------------------ *)
 
@@ -40,58 +41,79 @@ let bucket_index v =
 
 (* ---- histograms --------------------------------------------------- *)
 
+(* A histogram stores only the span of ladder buckets it has observed:
+   [buckets.(k)] counts bucket [first + k].  Most histograms see a
+   handful of neighbouring buckets (a plan node's output cardinality
+   rarely moves), and the serve registry keeps one per fingerprint, so a
+   full 128-slot ladder per key would dominate its memory. *)
 type hist = {
-  mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
-  buckets : int array;
+  mutable count : int;
+  mutable sum : float;
+  mutable min : float;
+  mutable max : float;
+  mutable first : int;
+  mutable buckets : int array;
 }
 
 let create () =
-  { h_count = 0; h_sum = 0.0; h_min = infinity; h_max = neg_infinity;
-    buckets = Array.make bucket_count 0 }
+  { count = 0; sum = 0.0; min = infinity; max = neg_infinity; first = 0; buckets = [||] }
+
+let copy h = { h with buckets = Array.copy h.buckets }
+
+(* Widen [h]'s span to cover buckets [lo..hi]; new slots count 0. *)
+let cover h lo hi =
+  let len = Array.length h.buckets in
+  let first = if len = 0 then lo else Int.min lo h.first in
+  let last = if len = 0 then hi else Int.max hi (h.first + len - 1) in
+  if last - first + 1 > len then begin
+    let b = Array.make (last - first + 1) 0 in
+    if len > 0 then Array.blit h.buckets 0 b (h.first - first) len;
+    h.first <- first;
+    h.buckets <- b
+  end
 
 let observe h v =
-  h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. v;
-  if v < h.h_min then h.h_min <- v;
-  if v > h.h_max then h.h_max <- v;
+  h.count <- h.count + 1;
+  h.sum <- h.sum +. v;
+  if v < h.min then h.min <- v;
+  if v > h.max then h.max <- v;
   let i = bucket_index v in
-  h.buckets.(i) <- h.buckets.(i) + 1
+  cover h i i;
+  let k = i - h.first in
+  h.buckets.(k) <- h.buckets.(k) + 1
 
-let count h = h.h_count
-let sum h = h.h_sum
+let mean h = if h.count = 0 then None else Some (h.sum /. float_of_int h.count)
 
 let merge ~into src =
-  into.h_count <- into.h_count + src.h_count;
-  into.h_sum <- into.h_sum +. src.h_sum;
-  if src.h_min < into.h_min then into.h_min <- src.h_min;
-  if src.h_max > into.h_max then into.h_max <- src.h_max;
-  Array.iteri (fun i n -> into.buckets.(i) <- into.buckets.(i) + n) src.buckets
+  into.count <- into.count + src.count;
+  into.sum <- into.sum +. src.sum;
+  if src.min < into.min then into.min <- src.min;
+  if src.max > into.max then into.max <- src.max;
+  let len = Array.length src.buckets in
+  if len > 0 then begin
+    cover into src.first (src.first + len - 1);
+    let off = src.first - into.first in
+    Array.iteri (fun k n -> into.buckets.(off + k) <- into.buckets.(off + k) + n) src.buckets
+  end
 
 (* Quantile estimate: the upper bound of the first bucket whose
    cumulative count reaches q * count.  The estimate is exact up to one
    bucket width (~19% relative), which is the resolution contract the
    QCheck conservation property pins. *)
 let quantile h q =
-  if h.h_count = 0 then nan
+  if h.count = 0 then nan
   else begin
-    let q = if q < 0.0 then 0.0 else if q > 1.0 then 1.0 else q in
-    let rank = q *. float_of_int h.h_count in
-    let acc = ref 0 and i = ref 0 and ans = ref infinity in
-    (try
-       while !i < bucket_count do
-         acc := !acc + h.buckets.(!i);
-         if float_of_int !acc >= rank && !acc > 0 then begin
-           ans := bucket_le !i;
-           raise Exit
-         end;
-         incr i
-       done
-     with Exit -> ());
+    let rank = Float.min 1.0 (Float.max 0.0 q) *. float_of_int h.count in
+    (* the last bucket qualifies for any [q] in [0..1]: its cumulative
+       count is [count] *)
+    let last = Array.length h.buckets - 1 in
+    let rec go k acc =
+      let acc = acc + h.buckets.(k) in
+      if k = last || (float_of_int acc >= rank && acc > 0) then bucket_le (h.first + k)
+      else go (k + 1) acc
+    in
     (* clamp to the observed range so p100 of a +Inf bucket stays honest *)
-    if !ans > h.h_max then h.h_max else if !ans < h.h_min then h.h_min else !ans
+    Float.min h.max (Float.max h.min (go 0 0))
   end
 
 (* ---- Prometheus text exposition ----------------------------------- *)
@@ -160,8 +182,6 @@ let float_str v =
   else if v = neg_infinity then "-Inf"
   else Printf.sprintf "%g" v
 
-let render_le i = if i >= bucket_count - 1 then "+Inf" else float_str (bucket_le i)
-
 let exposition families =
   let b = Buffer.create 4096 in
   Buffer.add_string b
@@ -195,25 +215,28 @@ let exposition families =
           (fun (labels, h) ->
             let hb = Buffer.create 256 in
             let cum = ref 0 in
+            let bucket_line le =
+              Buffer.add_string hb
+                (Printf.sprintf "%s_bucket%s %d\n" f.f_name
+                   (render_labels (labels @ [ ("le", le) ]))
+                   !cum)
+            in
+            (* render only buckets that advance the cumulative count,
+               plus the mandatory +Inf terminal — the full 128-rung
+               ladder would bloat every scrape 100x for no information *)
             Array.iteri
-              (fun i n ->
+              (fun k n ->
                 cum := !cum + n;
-                (* render only buckets that advance the cumulative count,
-                   plus the mandatory +Inf terminal — the full 128-rung
-                   ladder would bloat every scrape 100x for no
-                   information *)
-                if n > 0 || i = bucket_count - 1 then
-                  Buffer.add_string hb
-                    (Printf.sprintf "%s_bucket%s %d\n" f.f_name
-                       (render_labels (labels @ [ ("le", render_le i) ]))
-                       !cum))
+                if n > 0 && h.first + k < bucket_count - 1 then
+                  bucket_line (float_str (bucket_le (h.first + k))))
               h.buckets;
+            bucket_line "+Inf";
             Buffer.add_string hb
               (Printf.sprintf "%s_sum%s %s\n" f.f_name (render_labels labels)
-                 (float_str h.h_sum));
+                 (float_str h.sum));
             Buffer.add_string hb
               (Printf.sprintf "%s_count%s %d\n" f.f_name (render_labels labels)
-                 h.h_count);
+                 h.count);
             Buffer.contents hb)
           f.f_hists
       in

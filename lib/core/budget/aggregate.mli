@@ -3,12 +3,12 @@
     with its parser.
 
     Where {!Telemetry} is request-scoped (a collector lives for one
-    evaluation), these primitives accumulate for the process lifetime
-    and answer quantile queries from a fixed quarter-octave bucket
-    ladder: observation is an O(1) array increment with no allocation,
-    and two histograms observed on different worker domains merge
-    bucket-wise with no loss beyond the bucket width already accepted at
-    observe time.
+    evaluation and records into these histograms), the serve registry
+    merges them for the process lifetime and answers quantile queries
+    from a fixed quarter-octave bucket ladder: observation is an O(1)
+    array increment, and two histograms observed on different worker
+    domains merge bucket-wise with no loss beyond the bucket width
+    already accepted at observe time.
 
     Nothing here locks — callers synchronise (the serve registry holds
     its own mutex). *)
@@ -28,21 +28,31 @@ val bucket_index : float -> int
 
 (** {1 Histograms} *)
 
-type hist = {
-  mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
-  buckets : int array;
+type hist = private {
+  mutable count : int;
+  mutable sum : float;
+  mutable min : float;  (** [infinity] when empty *)
+  mutable max : float;  (** [neg_infinity] when empty *)
+  mutable first : int;  (** ladder index of [buckets.(0)] *)
+  mutable buckets : int array;
+      (** [buckets.(k)] counts ladder bucket [first + k]; the span covers
+          exactly the buckets from the lowest to the highest observed *)
 }
+(** The one histogram record: {!Telemetry} records into it, and the
+    serve registry merges those into its own. *)
 
 val create : unit -> hist
+val copy : hist -> hist
+
 val observe : hist -> float -> unit
-val count : hist -> int
-val sum : hist -> float
+(** Counts [v]; widens the bucket span when [v] lands outside it. *)
+
+val mean : hist -> float option
+(** [sum / count]; [None] when empty. *)
 
 val merge : into:hist -> hist -> unit
-(** Bucket-wise add of [src] into [into]. *)
+(** Bucket-wise add of [src] into [into], widening [into]'s span to
+    cover [src]'s. *)
 
 val quantile : hist -> float -> float
 (** [quantile h q] (with [q] clamped to [0..1]) estimates the [q]th

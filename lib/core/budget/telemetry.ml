@@ -11,7 +11,14 @@ type span = {
   children : span list;
 }
 
-type histogram = { count : int; sum : float; min : float; max : float }
+type histogram = Aggregate.hist = private {
+  mutable count : int;
+  mutable sum : float;
+  mutable min : float;
+  mutable max : float;
+  mutable first : int;
+  mutable buckets : int array;
+}
 
 type report = {
   roots : span list;
@@ -34,22 +41,12 @@ type frame = {
   mutable f_kid_ms : float;
 }
 
-(* Histogram cells double as nodes of an intrusive doubly-linked recency
-   list (head = most recently observed), the same shape as the
-   decide-cache LRU: an adversarial query stream minting fresh
-   per-fingerprint names ([relalg.node_card.<fp>]) can no longer grow the
-   key space without bound — past [max_histos] the coldest cell is
-   evicted and tallied.  A collector is thread-local single-threaded
-   state, so unlike the decide cache no lock is needed. *)
-type hcell = {
-  h_key : string;
-  mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
-  mutable h_prev : hcell option;
-  mutable h_next : hcell option;
-}
+(* The histogram key space is an LRU: an adversarial query stream
+   minting fresh per-fingerprint names ([relalg.node_card.<fp>]) cannot
+   grow it without bound — past [max_histos] the coldest key is evicted
+   and tallied.  A collector is thread-local single-threaded state, so
+   unlike the decide cache no lock is needed. *)
+module Histos = Lru.Make (String)
 
 (* The no-op sink keeps [enabled] true while skipping all bookkeeping: the
    cost of observation itself (the branches in the engines' inner loops)
@@ -59,7 +56,6 @@ type mode = Noop | Record
 type collector = {
   mode : mode;
   max_spans : int;
-  max_histos : int;
   t_start : float;
   mutable stack : frame list;
   mutable roots : span list; (* reversed *)
@@ -67,10 +63,7 @@ type collector = {
   mutable dropped : int;
   mutable trace : string option;
   counters : (string, int ref) Hashtbl.t;
-  histos : (string, hcell) Hashtbl.t;
-  mutable h_head : hcell option; (* most recently observed *)
-  mutable h_tail : hcell option; (* eviction candidate *)
-  mutable h_evicted : int;
+  histos : Aggregate.hist Histos.t;
 }
 
 (* Exactly one collector is ambient at a time per thread; [record] and
@@ -150,54 +143,15 @@ let count ?(n = 1) name =
     | None -> Hashtbl.add c.counters name (ref n))
   | _ -> ()
 
-(* recency-list plumbing, mirroring Decide_cache *)
-
-let unlink c cell =
-  (match cell.h_prev with
-  | Some p -> p.h_next <- cell.h_next
-  | None -> c.h_head <- cell.h_next);
-  (match cell.h_next with
-  | Some n -> n.h_prev <- cell.h_prev
-  | None -> c.h_tail <- cell.h_prev);
-  cell.h_prev <- None;
-  cell.h_next <- None
-
-let push_front c cell =
-  cell.h_prev <- None;
-  cell.h_next <- c.h_head;
-  (match c.h_head with Some h -> h.h_prev <- Some cell | None -> c.h_tail <- Some cell);
-  c.h_head <- Some cell
-
-let touch c cell = if c.h_head != Some cell then (unlink c cell; push_front c cell)
-
-let evict_excess c =
-  while c.max_histos > 0 && Hashtbl.length c.histos > c.max_histos do
-    match c.h_tail with
-    | None -> Hashtbl.reset c.histos (* unreachable: list tracks the table *)
-    | Some cold ->
-      unlink c cold;
-      Hashtbl.remove c.histos cold.h_key;
-      c.h_evicted <- c.h_evicted + 1
-  done
-
 let observe name v =
   match active () with
   | Some ({ mode = Record; _ } as c) -> (
-    match Hashtbl.find_opt c.histos name with
-    | Some h ->
-      h.h_count <- h.h_count + 1;
-      h.h_sum <- h.h_sum +. v;
-      if v < h.h_min then h.h_min <- v;
-      if v > h.h_max then h.h_max <- v;
-      touch c h
+    match Histos.find c.histos name with
+    | Some h -> Aggregate.observe h v
     | None ->
-      let cell =
-        { h_key = name; h_count = 1; h_sum = v; h_min = v; h_max = v;
-          h_prev = None; h_next = None }
-      in
-      Hashtbl.add c.histos name cell;
-      push_front c cell;
-      evict_excess c)
+      let h = Aggregate.create () in
+      Aggregate.observe h v;
+      ignore (Histos.replace c.histos name h))
   | _ -> ()
 
 let set_trace_id id =
@@ -213,7 +167,6 @@ let trace_id () =
 let make_collector ?(max_histos = 1024) mode max_spans =
   { mode;
     max_spans;
-    max_histos;
     t_start = now_ms ();
     stack = [];
     roots = [];
@@ -221,10 +174,7 @@ let make_collector ?(max_histos = 1024) mode max_spans =
     dropped = 0;
     trace = None;
     counters = Hashtbl.create 16;
-    histos = Hashtbl.create 16;
-    h_head = None;
-    h_tail = None;
-    h_evicted = 0 }
+    histos = Histos.create max_histos }
 
 let run_with c f = Thread_local.with_value active_key (Some c) f
 
@@ -235,12 +185,9 @@ let snapshot c =
   in
   { roots = List.rev c.roots;
     counters = sorted_assoc Hashtbl.fold (fun r -> !r) c.counters;
-    histograms =
-      sorted_assoc Hashtbl.fold
-        (fun h -> { count = h.h_count; sum = h.h_sum; min = h.h_min; max = h.h_max })
-        c.histos;
+    histograms = sorted_assoc Histos.fold Fun.id c.histos;
     dropped_spans = c.dropped;
-    evicted_histograms = c.h_evicted;
+    evicted_histograms = Histos.evictions c.histos;
     trace_id = c.trace }
 
 let record ?(max_spans = 20_000) ?max_histos f =

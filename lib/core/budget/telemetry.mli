@@ -10,9 +10,10 @@
     {b Hot-path contract.}  Every instrumentation entry point first reads
     one thread-local slot ({!Thread_local.get}); when telemetry is off
     (the default) that read and one branch are the entire cost, so
-    engines instrument their inner loops freely.  The bench
-    ablation ([dune exec bench/main.exe -- json-pr4]) pins the overhead of
-    the disabled path and of the no-op sink below 2%.
+    engines instrument their inner loops freely.  Section A4 of the
+    bench harness ([dune exec bench/main.exe -- quick]) measures the
+    overhead of the disabled path and of the no-op sink against a 2%
+    bound.
 
     {b Budget attribution.}  Spans read {!Budget.global_ticks} — the
     thread's tick clock every budget advances, running while {!record}
@@ -35,7 +36,16 @@ type span = {
   children : span list;
 }
 
-type histogram = { count : int; sum : float; min : float; max : float }
+type histogram = Aggregate.hist = private {
+  mutable count : int;
+  mutable sum : float;
+  mutable min : float;
+  mutable max : float;
+  mutable first : int;
+  mutable buckets : int array;
+}
+(** One {!Aggregate.hist} per key: the serve registry merges a report's
+    histograms bucket-wise. *)
 
 type report = {
   roots : span list;

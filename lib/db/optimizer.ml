@@ -357,6 +357,25 @@ let estimate (s : Stats.t) ~arity_of plan =
   in
   est plan
 
+let est_vs_observed s ~arity_of (treport : Fq_core.Telemetry.report) plan =
+  let seen = Hashtbl.create 16 in
+  let rec walk acc node =
+    let fp = fingerprint node in
+    let acc =
+      if Hashtbl.mem seen fp then acc
+      else begin
+        Hashtbl.add seen fp ();
+        let est = match estimate s ~arity_of node with e -> Some e | exception _ -> None in
+        (fp, node, est, List.assoc_opt (node_metric fp) treport.histograms) :: acc
+      end
+    in
+    match node with
+    | Rel _ | Lit _ -> acc
+    | Select (_, p) | Project (_, p) -> walk acc p
+    | Product (p, q) | Join (_, p, q) | Union (p, q) | Diff (p, q) -> walk (walk acc p) q
+  in
+  List.rev (walk [] plan)
+
 (* ------------------------------------------------------------------ *)
 (* Cost-based passes: join ordering and predicate placement             *)
 (* ------------------------------------------------------------------ *)

@@ -50,6 +50,18 @@ val estimate : Stats.t -> arity_of:(string -> int option) -> Relalg.t -> float
     equalities keep 10%, domain predicates 50%.
     @raise Unknown_arity on a [Rel] leaf [arity_of] cannot resolve. *)
 
+val est_vs_observed :
+  Stats.t ->
+  arity_of:(string -> int option) ->
+  Fq_core.Telemetry.report ->
+  Relalg.t ->
+  (string * Relalg.t * float option * Fq_core.Aggregate.hist option) list
+(** Each distinct node of a plan once, pre-order: its fingerprint, the
+    node, its {!estimate} ([None] when that raises), and the
+    [relalg.node_card.<fp>] histogram the recording observed for it —
+    the cost table of [fq explain] and the slow-query log's per-node
+    evidence. *)
+
 val optimize : ?stats:Stats.t -> arity_of:(string -> int option) -> Relalg.t -> Relalg.t
 (** [arity_of] resolves the arity of [Rel] leaves (typically
     {!Schema.arity} partially applied).

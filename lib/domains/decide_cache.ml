@@ -10,46 +10,24 @@
 
 module Formula = Fq_logic.Formula
 
-module Key = struct
-  type t = Formula.t
-
-  let equal = Formula.equal
-  let hash = Formula.hash
-end
-
-module H = Hashtbl.Make (Key)
+module Lru = Fq_core.Lru.Make (Formula)
 
 type stats = { hits : int; misses : int; entries : int; evictions : int }
 
-(* intrusive doubly-linked recency list: head = most recently used *)
-type node = {
-  key : Formula.t;
-  mutable value : (bool, string) result;
-  mutable prev : node option;
-  mutable next : node option;
-}
-
 type t = {
-  table : node H.t;
-  mutable head : node option;
-  mutable tail : node option;
-  capacity : int;  (* <= 0 means unbounded *)
+  table : (bool, string) result Lru.t;
   lock : Mutex.t;
   mutable cache_hits : int;
   mutable cache_misses : int;
-  mutable cache_evictions : int;
   mutable insert_hook : (Formula.t -> (bool, string) result -> unit) option;
 }
 
-let create ?(size = 256) ?(capacity = 4096) () =
-  { table = H.create size;
-    head = None;
-    tail = None;
-    capacity;
+let create ?(capacity = 4096) () =
+  { table =
+      Lru.create capacity ~on_evict:(fun _ _ -> Fq_core.Telemetry.count "decide_cache.evictions");
     lock = Mutex.create ();
     cache_hits = 0;
     cache_misses = 0;
-    cache_evictions = 0;
     insert_hook = None }
 
 let set_on_insert c hook = c.insert_hook <- hook
@@ -58,55 +36,15 @@ let locked c f =
   Mutex.lock c.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock c.lock) f
 
-(* list surgery; all under the cache lock *)
-let unlink c n =
-  (match n.prev with Some p -> p.next <- n.next | None -> c.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> c.tail <- n.prev);
-  n.prev <- None;
-  n.next <- None
-
-let push_front c n =
-  n.next <- c.head;
-  (match c.head with Some h -> h.prev <- Some n | None -> c.tail <- Some n);
-  c.head <- Some n
-
-let touch c n =
-  match c.head with
-  | Some h when h == n -> ()
-  | _ ->
-    unlink c n;
-    push_front c n
-
-let evict_excess c =
-  if c.capacity > 0 then
-    while H.length c.table > c.capacity do
-      match c.tail with
-      | None -> assert false (* length > 0 implies a tail *)
-      | Some lru ->
-        unlink c lru;
-        H.remove c.table lru.key;
-        c.cache_evictions <- c.cache_evictions + 1;
-        Fq_core.Telemetry.count "decide_cache.evictions"
-    done
-
 let stats c =
   locked c (fun () ->
       { hits = c.cache_hits;
         misses = c.cache_misses;
-        entries = H.length c.table;
-        evictions = c.cache_evictions })
+        entries = Lru.length c.table;
+        evictions = Lru.evictions c.table })
 
 let hit_rate { hits; misses; _ } =
   if hits + misses = 0 then 0. else float_of_int hits /. float_of_int (hits + misses)
-
-let clear c =
-  locked c (fun () ->
-      H.reset c.table;
-      c.head <- None;
-      c.tail <- None;
-      c.cache_hits <- 0;
-      c.cache_misses <- 0;
-      c.cache_evictions <- 0)
 
 (* A verdict is cacheable when it depends only on the domain's theory:
    [Ok _] and "this formula is outside the fragment" are eternal truths,
@@ -138,14 +76,10 @@ let decide c (module D : Domain.S) f =
   Fq_core.Fault.hit "decide_cache.lookup";
   let cached =
     locked c (fun () ->
-        match H.find_opt c.table key with
-        | Some n ->
-          c.cache_hits <- c.cache_hits + 1;
-          touch c n;
-          Some n.value
-        | None ->
-          c.cache_misses <- c.cache_misses + 1;
-          None)
+        let hit = Lru.find c.table key in
+        if Option.is_some hit then c.cache_hits <- c.cache_hits + 1
+        else c.cache_misses <- c.cache_misses + 1;
+        hit)
   in
   match cached with
   | Some r ->
@@ -155,24 +89,8 @@ let decide c (module D : Domain.S) f =
     Fq_core.Telemetry.count "decide_cache.misses";
     let r = D.decide f in
     if cacheable r then begin
-      let fresh =
-        locked c (fun () ->
-            let fresh =
-              match H.find_opt c.table key with
-              | Some n ->
-                (* a racing worker filled it first; verdicts agree *)
-                n.value <- r;
-                touch c n;
-                false
-              | None ->
-                let n = { key; value = r; prev = None; next = None } in
-                H.replace c.table key n;
-                push_front c n;
-                true
-            in
-            evict_excess c;
-            fresh)
-      in
+      (* [false]: a racing worker filled it first; verdicts agree *)
+      let fresh = locked c (fun () -> Lru.replace c.table key r) in
       (* Fire the insert hook outside the lock (it may do file I/O —
          the server's journal append) and only for the first fill of a
          key: hits, racing refills and snapshot restores are already
@@ -268,12 +186,7 @@ let save c path =
   let entries =
     (* under the lock: consing along MRU -> LRU leaves the list LRU
        first; render outside it *)
-    locked c (fun () ->
-        let rec walk acc = function
-          | None -> acc
-          | Some n -> walk ((n.key, n.value) :: acc) n.next
-        in
-        walk [] c.head)
+    locked c (fun () -> Lru.fold (fun key value acc -> (key, value) :: acc) c.table [])
   in
   match Fq_core.Fault.hit "decide_cache.snapshot.save" with
   | exception e ->
@@ -290,17 +203,7 @@ let save c path =
    recency order is restored exactly, and journal records replayed after
    the snapshot land in front of it; the capacity bound applies as usual
    (an over-capacity snapshot keeps its most recently used entries). *)
-let restore c key value =
-  locked c (fun () ->
-      (match H.find_opt c.table key with
-      | Some n ->
-        n.value <- value;
-        touch c n
-      | None ->
-        let n = { key; value; prev = None; next = None } in
-        H.replace c.table key n;
-        push_front c n);
-      evict_excess c)
+let restore c key value = locked c (fun () -> ignore (Lru.replace c.table key value))
 
 (* Replay a snapshot or journal into [c]; a record whose payload is not
    a cacheable entry counts as skipped, like one that fails its CRC. *)

@@ -20,12 +20,11 @@ type t
 
 type stats = { hits : int; misses : int; entries : int; evictions : int }
 
-val create : ?size:int -> ?capacity:int -> unit -> t
-(** [size] is the initial hash-table size hint; [capacity] (default
-    [4096]) bounds the number of {e retained} entries — the least
-    recently used entry is evicted when an insertion would exceed it.  A
-    non-positive [capacity] disables eviction (the pre-LRU unbounded
-    behavior).  Lookups count as uses, so hot sentences survive long
+val create : ?capacity:int -> unit -> t
+(** [capacity] (default [4096]) bounds the number of {e retained}
+    entries — the least recently used entry is evicted when an insertion
+    would exceed it.  A non-positive [capacity] disables eviction (the
+    pre-LRU unbounded behavior).  Lookups count as uses, so hot sentences survive long
     enumerations even when the candidate stream churns the tail. *)
 
 val stats : t -> stats
@@ -37,8 +36,6 @@ val stats : t -> stats
 
 val hit_rate : stats -> float
 (** Fraction of lookups served from the cache; [0.] when no lookups. *)
-
-val clear : t -> unit
 
 val set_on_insert : t -> (Fq_logic.Formula.t -> (bool, string) result -> unit) option -> unit
 (** [set_on_insert c (Some hook)] makes {!decide} call

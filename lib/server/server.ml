@@ -145,8 +145,8 @@ let journal_path cfg =
 
 (* Server-wide, always-on aggregation.  Two planes share one lock:
 
-   - the {e engine} plane: dotted-name counters and count/sum/min/max
-     summaries merged from each request's Telemetry report — the names
+   - the {e engine} plane: dotted-name counters and histograms merged
+     bucket-wise from each request's Telemetry report — the names
      the engines emit ([decide_cache.hits], [relalg.node_card.<fp>], ...);
    - the {e service} plane: label-dimensioned monotonic counters and
      fixed log-bucketed {!Aggregate} histograms keyed by
@@ -163,14 +163,12 @@ let journal_path cfg =
 
 module Aggregate = Fq_core.Aggregate
 
-type hist = { mutable h_count : int; mutable h_sum : float; mutable h_min : float; mutable h_max : float }
-
 type lkey = string * (string * string) list (* family, labels sorted by name *)
 
 type registry = {
   r_lock : Mutex.t;
   r_counters : (string, int ref) Hashtbl.t;
-  r_hists : (string, hist) Hashtbl.t;
+  r_hists : (string, Aggregate.hist) Hashtbl.t;
   r_lab_counters : (lkey, int ref) Hashtbl.t;
   r_lab_hists : (lkey, Aggregate.hist) Hashtbl.t;
   r_clients : (int, string) Hashtbl.t; (* connection id -> client label *)
@@ -257,22 +255,15 @@ let merge_report reg (t : Telemetry.report) =
   reg_locked reg (fun () ->
       List.iter (fun (name, n) -> reg_count_unlocked reg name n) t.Telemetry.counters;
       List.iter
-        (fun (name, (h : Telemetry.histogram)) ->
+        (fun (name, h) ->
           match Hashtbl.find_opt reg.r_hists name with
-          | Some agg ->
-            agg.h_count <- agg.h_count + h.Telemetry.count;
-            agg.h_sum <- agg.h_sum +. h.Telemetry.sum;
-            if h.Telemetry.min < agg.h_min then agg.h_min <- h.Telemetry.min;
-            if h.Telemetry.max > agg.h_max then agg.h_max <- h.Telemetry.max
+          | Some agg -> Aggregate.merge ~into:agg h
           | None ->
             if Hashtbl.length reg.r_hists >= reg_key_cap then
               reg_count_unlocked reg "serve.registry_dropped_keys" 1
             else
-              Hashtbl.add reg.r_hists name
-                { h_count = h.Telemetry.count;
-                  h_sum = h.Telemetry.sum;
-                  h_min = h.Telemetry.min;
-                  h_max = h.Telemetry.max })
+              (* a copy: the slow log reads the report after the merge *)
+              Hashtbl.add reg.r_hists name (Aggregate.copy h))
         t.Telemetry.histograms;
       if t.Telemetry.evicted_histograms > 0 then
         reg_count_unlocked reg "telemetry.evicted_histograms" t.Telemetry.evicted_histograms)
@@ -301,7 +292,7 @@ let registry_families reg =
       let engine_obs_count, engine_obs_sum =
         Hashtbl.fold
           (fun name h (cs, ss) ->
-            (([ ("name", name) ], h.h_count) :: cs, ([ ("name", name) ], h.h_sum) :: ss))
+            (([ ("name", name) ], h.Aggregate.count) :: cs, ([ ("name", name) ], h.sum) :: ss))
           reg.r_hists ([], [])
       in
       let by_family fold project tbl =
@@ -318,11 +309,7 @@ let registry_families reg =
       in
       let hist_fams =
         (* copy under the lock: the exposition renders after release *)
-        by_family
-          (fun f t init -> Hashtbl.fold f t init)
-          (fun (h : Aggregate.hist) ->
-            { h with Aggregate.buckets = Array.copy h.Aggregate.buckets })
-          reg.r_lab_hists
+        by_family (fun f t init -> Hashtbl.fold f t init) Aggregate.copy reg.r_lab_hists
       in
       Aggregate.counter_family ~name:"fq_engine_events_total"
         ~help:"Engine telemetry counters, by dotted engine name." engine_counters
@@ -601,38 +588,20 @@ let dry_plan ep ~domain f =
    optimizer's estimate against what the telemetry recording actually
    measured ([relalg.node_card.<fp>]) — the slow-query log's "why was
    the plan wrong" evidence, replayable offline by fq explain. *)
-let plan_nodes_json ep plan (treport : Telemetry.report) =
+let plan_nodes_json ep plan treport =
   let arity_of = Schema.arity (State.schema ep.ep_state) in
-  let nodes = ref [] in
-  let seen = Hashtbl.create 16 in
-  let rec walk node =
-    let fp = Relalg.fingerprint node in
-    if not (Hashtbl.mem seen fp) then begin
-      Hashtbl.add seen fp ();
-      let est =
-        match Optimizer.estimate ep.ep_stats ~arity_of node with
-        | e -> [ ("est", Json.Float e) ]
-        | exception _ -> []
-      in
-      let observed =
-        match List.assoc_opt (Relalg.node_metric fp) treport.Telemetry.histograms with
-        | Some h when h.Telemetry.count > 0 ->
-          [ ("observed_mean", Json.Float (h.Telemetry.sum /. float_of_int h.Telemetry.count));
-            ("observed_count", Json.Int h.Telemetry.count) ]
-        | _ -> []
-      in
-      nodes := Json.Obj ((("fp", Json.Str fp) :: est) @ observed) :: !nodes
-    end;
-    match node with
-    | Relalg.Rel _ | Relalg.Lit _ -> ()
-    | Relalg.Select (_, p) | Relalg.Project (_, p) -> walk p
-    | Relalg.Product (p, q) | Relalg.Join (_, p, q) | Relalg.Union (p, q)
-    | Relalg.Diff (p, q) ->
-      walk p;
-      walk q
-  in
-  walk plan;
-  Json.List (List.rev !nodes)
+  Json.List
+    (List.map
+       (fun (fp, _, est, h) ->
+         let est = match est with Some e -> [ ("est", Json.Float e) ] | None -> [] in
+         let observed =
+           match (h, Option.bind h Aggregate.mean) with
+           | Some h, Some mean ->
+             [ ("observed_mean", Json.Float mean); ("observed_count", Json.Int h.count) ]
+           | _ -> []
+         in
+         Json.Obj ((("fp", Json.Str fp) :: est) @ observed))
+       (Optimizer.est_vs_observed ep.ep_stats ~arity_of treport plan))
 
 (* One structured JSONL line per slow (or browned-out / cancelled)
    request, appended under [slog_lock]; an I/O failure degrades to a
@@ -1274,7 +1243,9 @@ type control = {
 }
 
 (* The one control-op table, shared by a serve connection thread and the
-   fleet parent's select loop: read one line, answer it from [ctl]. *)
+   fleet parent's select loop: read one line, answer it from [ctl].  An
+   exception while answering a line is that line's [malformed] reply:
+   the connection stays up and its client is not left waiting. *)
 let answer ctl r ~refills ~send =
   let ok id fields = send (Protocol.ok_response ~id fields) in
   let malformed id reason =
@@ -1289,40 +1260,45 @@ let answer ctl r ~refills ~send =
   | `Line line ->
     let line = String.trim line in
     (if line <> "" then
+       let internal e = "internal error: " ^ Printexc.to_string e in
        match Protocol.parse_request line with
+       | exception e -> malformed "" (internal e)
        | Error e -> malformed "" e
-       | Ok ((Protocol.Eval _ | Protocol.Explain _) as req) ->
-         Option.iter send (ctl.evaluate req)
-       | Ok (Protocol.Ping { id }) ->
-         ctl.count "ping";
-         ok id []
-       | Ok (Protocol.Metrics { id }) ->
-         ctl.count "metrics";
-         ok id (ctl.metrics ())
-       | Ok (Protocol.Traces { id; limit }) ->
-         ctl.count "traces";
-         ok id (ctl.traces limit)
-       | Ok (Protocol.Health { id }) ->
-         ctl.count "health";
-         ok id (ctl.health ())
-       | Ok (Protocol.Fleet_status { id }) ->
-         ctl.count "fleet-status";
-         let fleet, workers = ctl.topology () in
-         send (Protocol.fleet_status_response ~id ~fleet workers)
-       | Ok (Protocol.Snapshot { id }) -> (
-         ctl.count "snapshot";
-         match ctl.save () with
-         | Ok n -> ok id [ ("entries", Json.Int n) ]
-         | Error e -> send (Protocol.malformed_response ~id e))
-       | Ok (Protocol.Reload { id; path }) -> (
-         ctl.count "reload";
-         match ctl.reload path with
-         | Ok fields -> ok id fields
-         | Error e -> send (Protocol.malformed_response ~id ("reload: " ^ e)))
-       | Ok (Protocol.Shutdown { id }) ->
-         ctl.count "shutdown";
-         ok id [ ("draining", Json.Bool true) ];
-         ctl.shutdown ());
+       | Ok req -> (
+         try
+           match req with
+           | Protocol.Eval _ | Protocol.Explain _ -> Option.iter send (ctl.evaluate req)
+           | Protocol.Ping { id } ->
+             ctl.count "ping";
+             ok id []
+           | Protocol.Metrics { id } ->
+             ctl.count "metrics";
+             ok id (ctl.metrics ())
+           | Protocol.Traces { id; limit } ->
+             ctl.count "traces";
+             ok id (ctl.traces limit)
+           | Protocol.Health { id } ->
+             ctl.count "health";
+             ok id (ctl.health ())
+           | Protocol.Fleet_status { id } ->
+             ctl.count "fleet-status";
+             let fleet, workers = ctl.topology () in
+             send (Protocol.fleet_status_response ~id ~fleet workers)
+           | Protocol.Snapshot { id } -> (
+             ctl.count "snapshot";
+             match ctl.save () with
+             | Ok n -> ok id [ ("entries", Json.Int n) ]
+             | Error e -> send (Protocol.malformed_response ~id e))
+           | Protocol.Reload { id; path } -> (
+             ctl.count "reload";
+             match ctl.reload path with
+             | Ok fields -> ok id fields
+             | Error e -> send (Protocol.malformed_response ~id ("reload: " ^ e)))
+           | Protocol.Shutdown { id } ->
+             ctl.count "shutdown";
+             ok id [ ("draining", Json.Bool true) ];
+             ctl.shutdown ()
+         with e -> malformed (Protocol.request_id req) (internal e)));
     `Answered
 
 let conn_loop srv conn =

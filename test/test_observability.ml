@@ -1,11 +1,12 @@
 (* The observability plane's core invariants: the log-bucketed Aggregate
-   histogram (bucket ladder, conservation, quantile error bound, merge),
-   the versioned Prometheus text exposition (grammar pins, escaping, a
-   parse round-trip), the Telemetry histogram key-space LRU, and trace-id
-   stamping. *)
+   histogram (bucket ladder, conservation, quantile error bound, merge,
+   the span-sized footprint), the versioned Prometheus text exposition
+   (grammar pins, escaping, a parse round-trip), the Lru against a list
+   model, the Telemetry histogram key-space LRU, and trace-id stamping. *)
 
 module Aggregate = Fq_core.Aggregate
 module Telemetry = Fq_core.Telemetry
+module Lru = Fq_core.Lru
 
 (* ------------------------- bucket ladder --------------------------- *)
 
@@ -49,8 +50,8 @@ let prop_hist_conservation =
       List.iter (Aggregate.observe h) vs;
       let bucket_total = Array.fold_left ( + ) 0 h.Aggregate.buckets in
       bucket_total = List.length vs
-      && Aggregate.count h = List.length vs
-      && Float.abs (Aggregate.sum h -. List.fold_left ( +. ) 0. vs) < 1e-6)
+      && h.count = List.length vs
+      && Float.abs (h.sum -. List.fold_left ( +. ) 0. vs) < 1e-6)
 
 let prop_hist_quantile_bound =
   (* the quantile estimate is exact up to one bucket width: at most one
@@ -83,10 +84,55 @@ let prop_hist_merge =
       List.iter (Aggregate.observe b) ys;
       List.iter (Aggregate.observe all) (xs @ ys);
       Aggregate.merge ~into:a b;
-      a.Aggregate.buckets = all.Aggregate.buckets
-      && Aggregate.count a = Aggregate.count all
-      && Float.abs (Aggregate.sum a -. Aggregate.sum all)
-         <= 1e-9 *. (1. +. Float.abs (Aggregate.sum all)))
+      a.Aggregate.first = all.Aggregate.first
+      && a.Aggregate.buckets = all.Aggregate.buckets
+      && a.count = all.count
+      && Float.abs (a.sum -. all.sum) <= 1e-9 *. (1. +. Float.abs all.sum))
+
+let hist_of vs =
+  let h = Aggregate.create () in
+  List.iter (Aggregate.observe h) vs;
+  h
+
+let prop_hist_merge_disjoint =
+  (* sub-unit and kilo-scale observations occupy disjoint bucket spans;
+     merging either into the other fills the gap with zeros and equals
+     observing both *)
+  QCheck.Test.make ~name:"merge of disjoint bucket spans" ~count:200
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 1 50) (float_range 1e-3 1.))
+        (list_of_size Gen.(int_range 1 50) (float_range 1e3 1e6)))
+    (fun (lows, highs) ->
+      let all = hist_of (lows @ highs) in
+      let merged into src =
+        let h = hist_of into in
+        Aggregate.merge ~into:h (hist_of src);
+        h
+      in
+      let same (h : Aggregate.hist) =
+        h.first = all.first && h.buckets = all.buckets && h.count = all.count
+        && h.min = all.min && h.max = all.max
+        && Float.abs (h.sum -. all.sum) <= 1e-9 *. all.sum
+      in
+      Aggregate.bucket_index (List.fold_left Float.max 0. lows)
+      < Aggregate.bucket_index (List.fold_left Float.min infinity highs)
+      && same (merged lows highs) && same (merged highs lows))
+
+let test_hist_footprint () =
+  (* a histogram costs the buckets it has seen, not the 128-rung ladder *)
+  let one = hist_of [ 42. ] in
+  let merged = Aggregate.create () in
+  for _ = 1 to 100 do
+    Aggregate.merge ~into:merged (hist_of [ 42. ])
+  done;
+  Alcotest.(check int) "merged count" 100 merged.count;
+  List.iter
+    (fun (what, h) ->
+      let words = Obj.reachable_words (Obj.repr h) in
+      if words >= 24 then Alcotest.failf "%s costs %d words" what words)
+    [ ("one observation", one); ("100 merged equal observations", merged);
+      ("100 equal observations", hist_of (List.init 100 (fun _ -> 42.))) ]
 
 (* --------------------- exposition grammar pins ---------------------- *)
 
@@ -172,6 +218,61 @@ let test_exposition_version_check () =
   | _ -> Alcotest.fail "parse accepted a future exposition version"
   | exception Failure _ -> ()
 
+(* ------------------------ Lru vs a list model ----------------------- *)
+
+module Int_lru = Lru.Make (Int)
+
+type lru_op = Find of int | Replace of int * int
+
+(* The model: bindings most recently used first.  A hit or a rebind
+   moves the key to the front; a fresh bind past the capacity drops the
+   last binding. *)
+let prop_lru_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (4, map (fun k -> Find k) (int_bound 7));
+          (6, map2 (fun k v -> Replace (k, v)) (int_bound 7) (int_bound 99)) ])
+  in
+  let print = function
+    | Find k -> Printf.sprintf "find %d" k
+    | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  in
+  QCheck.Test.make ~name:"agrees with a recency-list model" ~count:300
+    QCheck.(
+      pair (int_range (-1) 5)
+        (make ~print:Print.(list print) Gen.(list_size (int_bound 60) op)))
+    (fun (capacity, ops) ->
+      let evicted = ref [] in
+      let t = Int_lru.create ~on_evict:(fun k v -> evicted := (k, v) :: !evicted) capacity in
+      let model = ref [] and model_evicted = ref [] and evictions = ref 0 in
+      let step op =
+        match op with
+        | Find k ->
+          let expect = List.assoc_opt k !model in
+          Option.iter (fun v -> model := (k, v) :: List.remove_assoc k !model) expect;
+          Int_lru.find t k = expect
+        | Replace (k, v) ->
+          let fresh = not (List.mem_assoc k !model) in
+          model := (k, v) :: List.remove_assoc k !model;
+          if capacity > 0 && List.length !model > capacity then begin
+            let victim = List.nth !model capacity in
+            model := List.filteri (fun i _ -> i < capacity) !model;
+            model_evicted := victim :: !model_evicted;
+            incr evictions
+          end;
+          Int_lru.replace t k v = fresh
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && List.rev (Int_lru.fold (fun k v acc -> (k, v) :: acc) t []) = !model
+          && Int_lru.length t = List.length !model
+          && Int_lru.evictions t = !evictions
+          && !evicted = !model_evicted)
+        ops
+      && (capacity > 0 || !evicted = []))
+
 (* ------------------- telemetry key-space LRU ------------------------ *)
 
 let test_telemetry_histo_lru () =
@@ -230,13 +331,17 @@ let () =
           qt prop_bucket_bounds;
           qt prop_hist_conservation;
           qt prop_hist_quantile_bound;
-          qt prop_hist_merge ] );
+          qt prop_hist_merge;
+          qt prop_hist_merge_disjoint;
+          Alcotest.test_case "footprint follows the observed span" `Quick
+            test_hist_footprint ] );
       ( "exposition",
         [ Alcotest.test_case "versioned grammar pins" `Quick test_exposition_grammar;
           Alcotest.test_case "label escaping round-trips" `Quick test_label_escaping;
           Alcotest.test_case "parse inverts render" `Quick test_exposition_roundtrip;
           Alcotest.test_case "version header enforced" `Quick
             test_exposition_version_check ] );
+      ("lru", [ qt prop_lru_model ]);
       ( "telemetry",
         [ Alcotest.test_case "histogram key-space LRU" `Quick test_telemetry_histo_lru;
           Alcotest.test_case "cap <= 0 is unbounded" `Quick test_telemetry_histo_unbounded;

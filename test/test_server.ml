@@ -154,6 +154,49 @@ let test_reply_classify () =
   | Ok _ -> Alcotest.fail "expected R_ok"
   | Error e -> Alcotest.fail e
 
+(* ------------------------- control table ---------------------------
+   An exception while answering a line becomes that line's malformed
+   reply, and the reader goes on to the next line: a serve connection
+   thread or the fleet parent's loop must not die with the client
+   waiting. *)
+
+let test_answer_survives_exception () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close a; Unix.close b) @@ fun () ->
+  let counted = ref [] and replies = ref [] in
+  let ctl =
+    { Server.health = (fun () -> []);
+      metrics = (fun () -> failwith "metrics exploded");
+      traces = (fun _ -> []);
+      topology = (fun () -> (false, []));
+      reload = (fun _ -> Error "unused");
+      save = (fun () -> Error "unused");
+      shutdown = ignore;
+      evaluate = (fun _ -> None);
+      count = (fun op -> counted := op :: !counted) }
+  in
+  let r = Server.reader ~max_bytes:4096 a in
+  let answer req =
+    let line = Json.to_string (Protocol.request_to_json req) ^ "\n" in
+    ignore (Unix.write_substring b line 0 (String.length line));
+    replies := [];
+    let status = Server.answer ctl r ~refills:1 ~send:(fun j -> replies := j :: !replies) in
+    Alcotest.(check bool) "line answered" true (status = `Answered);
+    match !replies with
+    | [ reply ] -> Protocol.classify_reply reply
+    | rs -> Alcotest.failf "expected one reply, got %d" (List.length rs)
+  in
+  (match answer (Protocol.Metrics { id = "m1" }) with
+  | Ok ("m1", Protocol.R_malformed reason) ->
+    Alcotest.(check bool) "names the exception" true (contains reason "metrics exploded")
+  | Ok _ -> Alcotest.fail "expected a malformed reply carrying the request id"
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "counted malformed" true (List.mem "malformed" !counted);
+  match answer (Protocol.Ping { id = "p" }) with
+  | Ok ("p", Protocol.R_ok _) -> ()
+  | Ok _ -> Alcotest.fail "expected the next line answered"
+  | Error e -> Alcotest.fail e
+
 (* ------------------ snapshot warm-start property -------------------
    save -> load -> decide agrees with the cold cache, and the warm
    cache never re-runs the decision procedure (its decide is poisoned). *)
@@ -1599,6 +1642,9 @@ let () =
           Alcotest.test_case "outcome json roundtrip" `Quick test_outcome_roundtrip;
           Alcotest.test_case "request json roundtrip" `Quick test_request_roundtrip;
           Alcotest.test_case "reply classification" `Quick test_reply_classify ] );
+      ( "control",
+        [ Alcotest.test_case "an exception answers malformed, reading goes on" `Quick
+            test_answer_survives_exception ] );
       ("snapshot", [ qt prop_snapshot_agrees ]);
       ( "journal",
         [ Alcotest.test_case "crc32 check value" `Quick test_journal_crc;

@@ -315,7 +315,7 @@ let safety_cmd =
       (Result.bind (parse_schema_assoc schema) (fun schema ->
            Result.map
              (fun f ->
-               (match Safe_range.check ~schema f with
+               (match Query.safe_range ~schema f with
                | Safe_range.Safe_range ->
                  Format.printf "safe-range: the query is finite in every state@."
                | Safe_range.Not_safe_range why -> Format.printf "not safe-range: %s@." why);
@@ -411,15 +411,15 @@ let report_cmd =
            Result.map
              (fun state ->
                let budget = budget_of_common common in
-               let r = Report.analyze ~fuel:common.fuel ~budget ~domain ~state f in
+               let r = Report.analyze ~budget ~domain ~state f in
                Format.printf "%a@." Report.pp r;
-               match r.Report.evaluation with
-               | Report.Exact _ -> 0
-               | Report.Partial _ -> exit_partial
-               | Report.Failed e -> exit_of_error e)
+               Outcome.exit_code r.Report.evaluation)
              (parse_state rels consts)))
   in
-  let doc = "Full analysis of a query: syntactic safety, relative safety, and the answer by the best applicable evaluator." in
+  let doc =
+    "Full analysis of a query: syntactic safety, relative safety, and the answer from the \
+     degradation chain of $(b,eval) (same verdict and exit code)."
+  in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(const run $ common_opts ~default_fuel:10_000 $ domain_arg $ relation_arg
           $ constant_arg $ formula_arg)
@@ -669,44 +669,22 @@ let explain_cmd =
                let (module D : Domain.S) = domain in
                Format.printf "query:   %a@." Formula.pp f;
                Format.printf "domain:  %s@." D.name;
-               let schema = Schema.relations (State.schema state) in
-               let safe =
-                 match Safe_range.check ~schema f with
-                 | Safe_range.Safe_range ->
-                   Format.printf "safety:  safe-range@.";
-                   true
-                 | Safe_range.Not_safe_range why ->
-                   Format.printf "safety:  not safe-range (%s)@." why;
-                   false
-               in
                (* the compiled plan is shown from a separate dry compile, so
-                  the span tree below reflects only the evaluation run; the
-                  compiled tiers are only in play for safe-range queries
-                  (active-domain semantics is wrong outside that fragment) *)
-               let compiled =
-                 if not safe then (
-                   Format.printf "plan:    enumerate-and-decide (Section 1.1)@.";
-                   None)
-                 else
-                   match Ranf.compile ?stats ~domain ~state f with
-                   | Ok { Algebra_translate.plan; columns } ->
-                     Format.printf "plan:    %a   [ranf-algebra; columns %s]@." Relalg.pp
-                       plan
-                       (if columns = [] then "<none>" else String.concat "," columns);
-                     Some plan
-                   | Error why -> (
-                     Format.printf "plan:    ranf-algebra inapplicable: %s@." why;
-                     match Algebra_translate.compile ?stats ~domain ~state f with
-                     | Ok { Algebra_translate.plan; columns } ->
-                       Format.printf "plan:    %a   [adom-algebra; columns %s]@." Relalg.pp
-                         plan
-                         (if columns = [] then "<none>" else String.concat "," columns);
-                       Some plan
-                     | Error why ->
-                       Format.printf "plan:    adom-algebra inapplicable: %s@." why;
-                       Format.printf "plan:    enumerate-and-decide (Section 1.1)@.";
-                       None)
-               in
+                  the span tree below reflects only the evaluation run *)
+               let p = Query.plan ?stats ~domain ~state f in
+               (match p.Query.safe_range with
+               | Safe_range.Safe_range ->
+                 Format.printf "safety:  safe-range@.";
+                 List.iter
+                   (fun (tier, why) -> Format.printf "plan:    %s inapplicable: %s@." tier why)
+                   p.Query.passed
+               | Safe_range.Not_safe_range why ->
+                 Format.printf "safety:  not safe-range (%s)@." why);
+               (match p.Query.compiled with
+               | Some { Algebra_translate.plan; columns } ->
+                 Format.printf "plan:    %a   [%s; columns %s]@." Relalg.pp plan p.Query.tier
+                   (if columns = [] then "<none>" else String.concat "," columns)
+               | None -> Format.printf "plan:    enumerate-and-decide (Section 1.1)@.");
                let budget = budget_of_common common in
                let cache = Decide_cache.create () in
                let rep, treport =
@@ -737,9 +715,9 @@ let explain_cmd =
                List.iter
                  (fun (name, t) -> if t > 0 then Format.printf "  %-28s %d@." name t)
                  (Telemetry.attribution treport);
-               (match compiled with
+               (match p.Query.compiled with
                | None -> ()
-               | Some plan ->
+               | Some { Algebra_translate.plan; _ } ->
                  let arity_of = Schema.arity (State.schema state) in
                  let st =
                    match stats with Some s -> s | None -> Optimizer.Stats.of_state state
@@ -846,11 +824,6 @@ type batch_result = {
   trace : string option;  (** the trace id echoed by the server (remote, traced runs) *)
 }
 
-let failed_outcome reason =
-  { Outcome.verdict = Outcome.Failed { reason };
-    usage = { Budget.ticks = 0; elapsed_ms = 0. };
-    attempts = [] }
-
 let batch_outcome_of r =
   match r.rep.Outcome.verdict with
   | Outcome.Complete _ -> B_complete
@@ -893,10 +866,7 @@ let batch_job ~state ~stats ~cache ~breakers ~fuel ~timeout_ms ~retries ~chaos i
   let resume = ref None in
   let attempt k =
     match parse_formula text with
-    | Error reason ->
-      { Query.verdict = Query.Failed { reason };
-        usage = { Budget.ticks = 0; elapsed_ms = 0. };
-        attempts = [] }
+    | Error reason -> Outcome.failed reason
     | Ok f ->
       let fuel_k =
         Supervisor.fair_share ~total:fuel ~spent:!spent ~attempt:k ~max_attempts:retries
@@ -927,7 +897,7 @@ let batch_job ~state ~stats ~cache ~breakers ~fuel ~timeout_ms ~retries ~chaos i
   match run.Supervisor.outcome with
   | Supervisor.Value rep -> { rep; crashed = false; retried; trace = None }
   | Supervisor.Crashed { reason; _ } ->
-    { rep = failed_outcome reason; crashed = true; retried; trace = None }
+    { rep = Outcome.failed reason; crashed = true; retried; trace = None }
 
 (* --connect ADDR: unix:PATH, tcp:PORT, a bare PORT, or a bare PATH *)
 let addr_conv =
@@ -970,8 +940,8 @@ let batch_remote ~common ~addr ~trace_prefix job_list =
         let rep =
           match r.Client.reply with
           | Protocol.R_outcome rep -> rep
-          | Protocol.R_malformed reason -> failed_outcome reason
-          | Protocol.R_rejected _ | Protocol.R_ok _ -> failed_outcome "no reply"
+          | Protocol.R_malformed reason -> Outcome.failed reason
+          | Protocol.R_rejected _ | Protocol.R_ok _ -> Outcome.failed "no reply"
         in
         { rep; crashed = false; retried = r.Client.rejected_retries; trace })
       pooled

@@ -195,9 +195,8 @@ let compile ?stats ~domain ~state ?extra_adom f =
   Fq_core.Telemetry.with_span "adom.compile" (fun () ->
       compile ?stats ~domain ~state ?extra_adom f)
 
-let run ?stats ~domain ~state ?extra_adom f =
+let eval_compiled ~domain ~state { plan; columns = _ } =
   let (module D : Fq_domain.Domain.S) = domain in
-  let* { plan; columns = _ } = compile ?stats ~domain ~state ?extra_adom f in
   let domain_pred p values =
     match D.eval_pred p values with
     | Some b -> b
@@ -206,3 +205,7 @@ let run ?stats ~domain ~state ?extra_adom f =
   match Relalg.eval ~state ~domain_pred plan with
   | rel -> Ok rel
   | exception Invalid_argument msg -> Error msg
+
+let run ?stats ~domain ~state ?extra_adom f =
+  let* compiled = compile ?stats ~domain ~state ?extra_adom f in
+  eval_compiled ~domain ~state compiled

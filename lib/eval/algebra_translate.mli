@@ -35,6 +35,14 @@ val compile :
     is specific to the state.  [?stats] feeds the cost-based optimizer
     passes; default {!Fq_db.Optimizer.Stats.of_state}. *)
 
+val eval_compiled :
+  domain:Fq_domain.Domain.t ->
+  state:Fq_db.State.t ->
+  compiled ->
+  (Fq_db.Relation.t, string) result
+(** {!Fq_db.Relalg.eval} of a compiled plan with the domain's predicates;
+    an unknown predicate or a plan the engine rejects is an [Error]. *)
+
 val run :
   ?stats:Fq_db.Optimizer.Stats.t ->
   domain:Fq_domain.Domain.t ->
@@ -42,5 +50,4 @@ val run :
   ?extra_adom:Fq_db.Value.t list ->
   Fq_logic.Formula.t ->
   (Fq_db.Relation.t, string) result
-(** [compile] followed by {!Fq_db.Relalg.eval} with the domain's
-    predicates. *)
+(** [compile] followed by {!eval_compiled}. *)

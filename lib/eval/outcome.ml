@@ -27,6 +27,9 @@ type t = {
   attempts : (string * string) list;
 }
 
+let failed reason =
+  { verdict = Failed { reason }; usage = { Budget.ticks = 0; elapsed_ms = 0. }; attempts = [] }
+
 (* ---------------------------- exit codes ---------------------------- *)
 
 let exit_partial = 3

@@ -35,7 +35,7 @@ type resume = { seen : int; found : Fq_db.Relation.t }
 
 type verdict =
   | Complete of { answer : Fq_db.Relation.t; tier : string }
-      (** [tier] is ["ranf-algebra"], ["adom-algebra"], or ["enumerate"]. *)
+      (** [tier] names the answering tier of {!Query}'s ladder. *)
   | Partial of { tuples : Fq_db.Relation.t; reason : Budget.failure; resume : resume }
   | Failed of { reason : string }
       (** Classified further by {!status}: a reason parsing as
@@ -47,6 +47,10 @@ type t = {
   attempts : (string * string) list;
       (** tiers tried before the answering one, with why each passed *)
 }
+
+val failed : string -> t
+(** A refusal that spent nothing: a parse error, a crash, a watchdog
+    recycle. *)
 
 (** {1 Exit codes} — the one place the 0/3/4 mapping lives. *)
 

@@ -11,7 +11,11 @@
     ({!Algebra_translate}), still exact for safe-range queries.  Tier 3:
     the Section 1.1 enumerate-and-decide scan under the budget
     ({!Enumerate.run_budgeted}).  Non-safe-range queries go straight to
-    tier 3, where active-domain semantics would be wrong. *)
+    tier 3, where active-domain semantics would be wrong.
+
+    This module is the only one that knows the tier order and names:
+    {!eval_resilient} walks the ladder under a budget, {!plan} walks the
+    same ladder as a dry compile (for explain output and slow logs). *)
 
 module Budget = Fq_core.Budget
 
@@ -24,7 +28,7 @@ type resume = Outcome.resume = { seen : int; found : Fq_db.Relation.t }
 
 type verdict = Outcome.verdict =
   | Complete of { answer : Fq_db.Relation.t; tier : string }
-      (** [tier] is ["ranf-algebra"], ["adom-algebra"], or ["enumerate"]. *)
+      (** [tier] is ["ranf-algebra"], ["adom-algebra"], or {!scan_tier}. *)
   | Partial of { tuples : Fq_db.Relation.t; reason : Budget.failure; resume : resume }
   | Failed of { reason : string }
 
@@ -36,6 +40,34 @@ type report = Outcome.t = {
 }
 (** An evaluation report {e is} an {!Outcome.t} — serialize it with
     {!Outcome.to_json}, map it to an exit code with {!Outcome.exit_code}. *)
+
+val scan_tier : string
+(** ["enumerate"]: the tier that answers when no compiled tier applies. *)
+
+val safe_range : schema:(string * int) list -> Fq_logic.Formula.t -> Safe_range.verdict
+(** The ladder's gate ({!Safe_range.check}): only queries that pass it
+    may take a compiled tier. *)
+
+type plan = {
+  safe_range : Safe_range.verdict;  (** the gate's verdict *)
+  tier : string;  (** the first tier whose compiler accepts the query *)
+  compiled : Algebra_translate.compiled option;
+      (** its plan and columns; [None] when [tier] is {!scan_tier} *)
+  passed : (string * string) list;
+      (** tiers passed before [tier], with why — the [attempts] an
+          evaluation that completes in [tier] reports *)
+}
+
+val plan :
+  ?stats:Fq_db.Optimizer.Stats.t ->
+  domain:Fq_domain.Domain.t ->
+  state:Fq_db.State.t ->
+  Fq_logic.Formula.t ->
+  plan
+(** Which tier will answer, and with what plan, without evaluating or
+    spending budget.  A compiled plan that then fails at run time (an
+    unknown domain predicate) passes {!eval_resilient} to the next tier,
+    which this dry walk cannot foresee. *)
 
 val eval_resilient :
   ?budget:Budget.t ->

@@ -352,13 +352,5 @@ let compile ?stats ~domain ~state f =
   Fq_core.Telemetry.with_span "ranf.compile" (fun () -> compile ?stats ~domain ~state f)
 
 let run ?stats ~domain ~state f =
-  let (module D : Fq_domain.Domain.S) = domain in
-  let* { plan; columns = _ } = compile ?stats ~domain ~state f in
-  let domain_pred p values =
-    match D.eval_pred p values with
-    | Some b -> b
-    | None -> invalid_arg (Printf.sprintf "no %s predicate %s" D.name p)
-  in
-  match Relalg.eval ~state ~domain_pred plan with
-  | rel -> Ok rel
-  | exception Invalid_argument msg -> Error msg
+  let* compiled = compile ?stats ~domain ~state f in
+  Algebra_translate.eval_compiled ~domain ~state compiled

@@ -1,52 +1,23 @@
-module Budget = Fq_core.Budget
 module Formula = Fq_logic.Formula
 module Relation = Fq_db.Relation
 module State = Fq_db.State
 module Schema = Fq_db.Schema
 module Safe_range = Fq_eval.Safe_range
-module Ranf = Fq_eval.Ranf
-module Algebra_translate = Fq_eval.Algebra_translate
-
-type evaluation =
-  | Exact of { answer : Relation.t; engine : string }
-  | Partial of { tuples : Relation.t; spent : int; reason : Budget.failure }
-  | Failed of string
+module Query = Fq_eval.Query
+module Outcome = Fq_eval.Outcome
 
 type t = {
   formula : Formula.t;
   safe_range : Safe_range.verdict;
   finite_here : (bool, string) result;
-  evaluation : evaluation;
+  evaluation : Outcome.t;
 }
 
-let enumerate ~fuel ?budget ?max_certified ~domain ~state f =
-  match Fq_eval.Enumerate.run ~fuel ?budget ?max_certified ~domain ~state f with
-  | Ok (Fq_eval.Enumerate.Finite answer) -> Exact { answer; engine = "enumerate" }
-  | Ok (Fq_eval.Enumerate.Out_of_fuel tuples) ->
-    let spent, reason =
-      match budget with
-      | None -> (fuel, Budget.Fuel_exhausted)
-      | Some b -> (Budget.spent b, Option.value (Budget.check b) ~default:Budget.Fuel_exhausted)
-    in
-    Partial { tuples; spent; reason }
-  | Error e -> Failed e
-
-let analyze ?(fuel = 10_000) ?budget ?max_certified ~domain ~state f =
-  let schema = Schema.relations (State.schema state) in
-  let safe_range = Safe_range.check ~schema f in
-  let finite_here = Relative_safety.decide_for ~domain ~state f in
-  let evaluation =
-    (* prefer the adom-free plans; fall back to active-domain compilation
-       (still exact for safe-range queries), then to enumeration *)
-    match (safe_range, Ranf.run ~domain ~state f) with
-    | Safe_range.Safe_range, Ok answer -> Exact { answer; engine = "ranf-algebra" }
-    | Safe_range.Safe_range, Error _ -> (
-      match Algebra_translate.run ~domain ~state f with
-      | Ok answer -> Exact { answer; engine = "adom-algebra" }
-      | Error _ -> enumerate ~fuel ?budget ?max_certified ~domain ~state f)
-    | Safe_range.Not_safe_range _, _ -> enumerate ~fuel ?budget ?max_certified ~domain ~state f
-  in
-  { formula = f; safe_range; finite_here; evaluation }
+let analyze ?budget ?max_certified ~domain ~state f =
+  { formula = f;
+    safe_range = Query.safe_range ~schema:(Schema.relations (State.schema state)) f;
+    finite_here = Relative_safety.decide_for ~domain ~state f;
+    evaluation = Query.eval_resilient ?budget ?max_certified ~domain ~state f }
 
 let pp fmt r =
   Format.fprintf fmt "@[<v>query: %a@," Formula.pp r.formula;
@@ -57,15 +28,12 @@ let pp fmt r =
   | Ok true -> Format.fprintf fmt "in this state: finite@,"
   | Ok false -> Format.fprintf fmt "in this state: INFINITE@,"
   | Error e -> Format.fprintf fmt "in this state: undecided (%s)@," e);
-  (match r.evaluation with
-  | Exact { answer; engine } ->
-    Format.fprintf fmt "answer (%s, %d tuples): %a@," engine (Relation.cardinal answer)
+  (match r.evaluation.Outcome.verdict with
+  | Outcome.Complete { answer; tier } ->
+    Format.fprintf fmt "answer (%s, %d tuples): %a@," tier (Relation.cardinal answer)
       Relation.pp answer
-  | Partial { tuples; spent; reason = Budget.Fuel_exhausted } ->
-    Format.fprintf fmt "partial answer after fuel %d: %d tuples so far@," spent
-      (Relation.cardinal tuples)
-  | Partial { tuples; reason; _ } ->
-    Format.fprintf fmt "partial answer (%a): %d tuples so far@," Budget.pp_failure reason
-      (Relation.cardinal tuples)
-  | Failed e -> Format.fprintf fmt "evaluation failed: %s@," e);
+  | Outcome.Partial { tuples; reason; resume } ->
+    Format.fprintf fmt "partial answer (%a after %d candidates): %d tuples so far@,"
+      Fq_core.Budget.pp_failure reason resume.Outcome.seen (Relation.cardinal tuples)
+  | Outcome.Failed { reason } -> Format.fprintf fmt "evaluation failed: %s@," reason);
   Format.fprintf fmt "@]"

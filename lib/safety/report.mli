@@ -5,39 +5,28 @@
     - the {e relative safety} verdict ({!Relative_safety.decide_for}):
       finite in {e this} state? ([Error] over domains where Theorem 3.3
       applies);
-    - the {e answer}, by the fastest applicable evaluator: the RANF
-      compiler for safe-range queries, otherwise the Section 1.1
-      enumeration with fuel.
+    - the {e answer}, from the governed degradation chain
+      ({!Fq_eval.Query.eval_resilient}): the same {!Fq_eval.Outcome.t},
+      tier and budget accounting that [fq eval] reports.
 
-    This is the front door used by the CLI and the examples. *)
-
-type evaluation =
-  | Exact of { answer : Fq_db.Relation.t; engine : string }
-      (** complete answer; [engine] names the evaluator used *)
-  | Partial of {
-      tuples : Fq_db.Relation.t;
-      spent : int;  (** work units consumed when the governor tripped *)
-      reason : Fq_core.Budget.failure;
-    }  (** the budget ran dry; possibly-infinite answer *)
-  | Failed of string
+    [fq report] prints it. *)
 
 type t = {
   formula : Fq_logic.Formula.t;
   safe_range : Fq_eval.Safe_range.verdict;
   finite_here : (bool, string) result;
-  evaluation : evaluation;
+  evaluation : Fq_eval.Outcome.t;
 }
 
 val analyze :
-  ?fuel:int ->
   ?budget:Fq_core.Budget.t ->
   ?max_certified:int ->
   domain:Fq_domain.Domain.t ->
   state:Fq_db.State.t ->
   Fq_logic.Formula.t ->
   t
-(** [budget] supersedes [fuel] and governs the enumeration fallback with
-    the full {!Fq_core.Budget} (deadline, cancellation, ambient ticking in
-    the decision procedures). *)
+(** [budget] (default [Budget.of_fuel 10_000]) governs the whole chain —
+    the compiled tiers as well as the enumeration fallback.  The relative
+    safety verdict is computed outside it. *)
 
 val pp : Format.formatter -> t -> unit

@@ -173,11 +173,6 @@ type progress = {
   mutable p_rejects : int;
 }
 
-let failed_outcome reason =
-  { Outcome.verdict = Outcome.Failed { reason };
-    usage = { Budget.ticks = 0; elapsed_ms = 0. };
-    attempts = [] }
-
 (* How many jobs one endpoint thread claims per cycle: small enough
    that a late-crashing worker strands few jobs, large enough to keep
    each connection's pipeline full. *)
@@ -227,7 +222,7 @@ let run_jobs ?(max_failovers = 4) ?(rounds = 4) ?timeout_ms ~addr jobs =
                 p.p_reply <-
                   Some
                     ( Protocol.R_outcome
-                        (failed_outcome
+                        (Outcome.failed
                            (Printf.sprintf
                               "transient: %s (failed over %d times, giving up)" reason
                               (p.p_failovers - 1))),
@@ -362,7 +357,7 @@ let run_jobs ?(max_failovers = 4) ?(rounds = 4) ?timeout_ms ~addr jobs =
               p.p_reply <-
                 Some
                   ( Protocol.R_outcome
-                      (failed_outcome "transient: no live worker answered before give-up"),
+                      (Outcome.failed "transient: no live worker answered before give-up"),
                     Json.Null );
               decr remaining
             end)
@@ -373,7 +368,7 @@ let run_jobs ?(max_failovers = 4) ?(rounds = 4) ?timeout_ms ~addr jobs =
            let reply, raw =
              match p.p_reply with
              | Some (reply, raw) -> (reply, raw)
-             | None -> (Protocol.R_outcome (failed_outcome "no reply"), Json.Null)
+             | None -> (Protocol.R_outcome (Outcome.failed "no reply"), Json.Null)
            in
            { reply;
              raw = (match raw with Json.Null -> None | j -> Some j);

@@ -487,10 +487,7 @@ let reset_journal srv since =
 let eval_outcome srv ep ~domain_name ~domain ~fuel ~timeout_ms ~resume ~cancel ~brownout
     text =
   match Parser.formula text with
-  | Error e ->
-    { Outcome.verdict = Outcome.Failed { reason = "parse error: " ^ e };
-      usage = { Budget.ticks = 0; elapsed_ms = 0. };
-      attempts = [] }
+  | Error e -> Outcome.failed ("parse error: " ^ e)
   | Ok f ->
     let breaker =
       match Hashtbl.find_opt ep.ep_breakers domain_name with
@@ -517,10 +514,7 @@ let eval_outcome srv ep ~domain_name ~domain ~fuel ~timeout_ms ~resume ~cancel ~
     in
     (match run.Supervisor.outcome with
     | Supervisor.Value rep -> rep
-    | Supervisor.Crashed { reason; _ } ->
-      { Outcome.verdict = Outcome.Failed { reason = "crashed: " ^ reason };
-        usage = { Budget.ticks = 0; elapsed_ms = 0. };
-        attempts = [] })
+    | Supervisor.Crashed { reason; _ } -> Outcome.failed ("crashed: " ^ reason))
 
 let resolve_domain srv = function
   | None ->
@@ -538,7 +532,7 @@ let resolve_domain srv = function
 let outcome_tier rep =
   match rep.Outcome.verdict with
   | Outcome.Complete { tier; _ } -> tier
-  | Outcome.Partial _ -> "enumerate" (* partial answers come from the scan tier *)
+  | Outcome.Partial _ -> Query.scan_tier (* partial answers come from the scan tier *)
   | Outcome.Failed _ -> "none"
 
 let rollup_json rus =
@@ -560,29 +554,6 @@ let push_trace srv entry =
   Mutex.lock srv.tlock;
   Fun.protect ~finally:(fun () -> Mutex.unlock srv.tlock) @@ fun () ->
   srv.trace_ring <- entry :: List.filteri (fun i _ -> i < srv.cfg.trace_ring - 1) srv.trace_ring
-
-(* A dry compile, shared by the explain op and the slow-query log: which
-   tier will answer, and with what plan — without spending any budget. *)
-let dry_plan ep ~domain f =
-  let schema = Schema.relations (State.schema ep.ep_state) in
-  let safety, safe =
-    match Fq_eval.Safe_range.check ~schema f with
-    | Fq_eval.Safe_range.Safe_range -> ("safe-range", true)
-    | Fq_eval.Safe_range.Not_safe_range why -> ("not safe-range: " ^ why, false)
-  in
-  let tier, plan =
-    if not safe then ("enumerate", None)
-    else
-      match Fq_eval.Ranf.compile ~stats:ep.ep_stats ~domain ~state:ep.ep_state f with
-      | Ok { Fq_eval.Algebra_translate.plan; _ } -> ("ranf-algebra", Some plan)
-      | Error _ -> (
-        match
-          Fq_eval.Algebra_translate.compile ~stats:ep.ep_stats ~domain ~state:ep.ep_state f
-        with
-        | Ok { Fq_eval.Algebra_translate.plan; _ } -> ("adom-algebra", Some plan)
-        | Error _ -> ("enumerate", None))
-  in
-  (safety, tier, plan)
 
 (* Estimated-vs-observed output cardinality per plan node: the
    optimizer's estimate against what the telemetry recording actually
@@ -616,14 +587,15 @@ let slow_log_entry srv job ~trace ~id ~domain_name ~dom ~formula ~elapsed ~cance
       match Parser.formula formula with
       | Error _ -> []
       | Ok f ->
-        let _, tier, plan = dry_plan job.j_epoch ~domain:dom f in
-        ("planned_tier", Json.Str tier)
+        let ep = job.j_epoch in
+        let p = Query.plan ~stats:ep.ep_stats ~domain:dom ~state:ep.ep_state f in
+        ("planned_tier", Json.Str p.Query.tier)
         ::
-        (match plan with
+        (match p.Query.compiled with
         | None -> []
-        | Some p ->
-          [ ("plan", Json.Str (Format.asprintf "%a" Relalg.pp p));
-            ("nodes", plan_nodes_json job.j_epoch p treport) ])
+        | Some { Fq_eval.Algebra_translate.plan; _ } ->
+          [ ("plan", Json.Str (Format.asprintf "%a" Relalg.pp plan));
+            ("nodes", plan_nodes_json ep plan treport) ])
     in
     let entry =
       Json.Obj
@@ -726,15 +698,21 @@ let handle_explain srv job ~id ~domain ~formula ~trace =
       reg_count srv.reg "serve.requests";
       reg_count srv.reg "serve.explain";
       reg_lcount srv.reg "fq_requests_total" [ ("op", "explain") ];
-      let safety, tier, plan = dry_plan ep ~domain:dom f in
+      let p = Query.plan ~stats:ep.ep_stats ~domain:dom ~state:ep.ep_state f in
+      let safety =
+        match p.Query.safe_range with
+        | Fq_eval.Safe_range.Safe_range -> "safe-range"
+        | Fq_eval.Safe_range.Not_safe_range why -> "not safe-range: " ^ why
+      in
       Protocol.ok_response ~id
         ((match trace with None -> [] | Some t -> [ ("trace", Json.Str t) ])
         @ [ ("domain", Json.Str domain_name); ("safety", Json.Str safety);
-            ("tier", Json.Str tier) ]
+            ("tier", Json.Str p.Query.tier) ]
         @
-        match plan with
+        match p.Query.compiled with
         | None -> []
-        | Some p -> [ ("plan", Json.Str (Format.asprintf "%a" Relalg.pp p)) ]))
+        | Some { Fq_eval.Algebra_translate.plan; _ } ->
+          [ ("plan", Json.Str (Format.asprintf "%a" Relalg.pp plan)) ]))
 
 (* The full versioned exposition: registry families plus point-in-time
    gauges (inflight, queue depth, breaker states, journal lag, cache). *)
@@ -1159,12 +1137,7 @@ let scan_watchdog srv =
       let trace =
         match job.j_req with Protocol.Eval { trace; _ } -> trace | _ -> None
       in
-      let response =
-        Protocol.outcome_response ~id ?trace
-          { Outcome.verdict = Outcome.Failed { reason };
-            usage = { Budget.ticks = 0; elapsed_ms = 0. };
-            attempts = [] }
-      in
+      let response = Protocol.outcome_response ~id ?trace (Outcome.failed reason) in
       let _first : bool = complete_job srv job response in
       logf srv.cfg "watchdog recycled worker %d (request %S overran)" slot.s_idx id;
       spawn_seat srv slot gen)

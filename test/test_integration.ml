@@ -164,6 +164,31 @@ let prop_three_evaluators_agree =
       in
       Relation.equal adom ranf && enum_ok)
 
+(* The served explain op and the slow log show [Query.plan]; evaluation
+   answers from [eval_resilient].  Both walk the one tier ladder, so
+   whenever an evaluation completes, the dry plan names the same tier and
+   the same passed tiers, and its compiled plan gives the same answer. *)
+let prop_plan_agrees_with_eval =
+  QCheck.Test.make ~name:"Query.plan names the tier and plan eval_resilient answers with"
+    ~count:120 arb_sr_case (fun (f, st) ->
+      let module Q = Fq_eval.Query in
+      let rep =
+        Q.eval_resilient ~budget:(Fq_core.Budget.of_fuel 2_000) ~max_certified:10
+          ~domain:eq_domain ~state:st f
+      in
+      match rep.Q.verdict with
+      | Q.Partial _ | Q.Failed _ -> true
+      | Q.Complete { answer; tier } -> (
+        let p = Q.plan ~domain:eq_domain ~state:st f in
+        if p.Q.tier <> tier || p.Q.passed <> rep.Q.attempts then
+          QCheck.Test.fail_reportf "planned %s, answered by %s" p.Q.tier tier;
+        match p.Q.compiled with
+        | None -> tier = Q.scan_tier
+        | Some c -> (
+          match Fq_eval.Algebra_translate.eval_compiled ~domain:eq_domain ~state:st c with
+          | Ok r -> Relation.equal r answer
+          | Error e -> QCheck.Test.fail_reportf "planned %s fails: %s" tier e)))
+
 (* -------------------- Cooper ground instantiation ------------------ *)
 
 let gen_presburger : Formula.t QCheck.Gen.t =
@@ -333,6 +358,7 @@ let () =
         ] );
       ( "randomized",
         [ QCheck_alcotest.to_alcotest prop_three_evaluators_agree;
+          QCheck_alcotest.to_alcotest prop_plan_agrees_with_eval;
           QCheck_alcotest.to_alcotest prop_cooper_qe_ground;
           QCheck_alcotest.to_alcotest prop_finitization_always_finite;
           QCheck_alcotest.to_alcotest prop_finitization_equivalence ] );

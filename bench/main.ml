@@ -75,12 +75,16 @@ let finite_eq state f =
 
 let e1 () =
   section "E1 (Sec. 1): the intro's queries over the father/son database";
-  (match Enumerate.run ~domain:eq_domain ~state:family_state m_query with
-  | Ok (Enumerate.Finite r) ->
+  let enumerate f =
+    Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 10_000) ~domain:eq_domain
+      ~state:family_state f
+  in
+  (match enumerate m_query with
+  | Ok (Enumerate.Complete r) ->
     check "M(x) answer cardinality" "1" (string_of_int (Relation.cardinal r))
   | _ -> check "M(x) answer cardinality" "1" "failed");
-  (match Enumerate.run ~domain:eq_domain ~state:family_state g_query with
-  | Ok (Enumerate.Finite r) ->
+  (match enumerate g_query with
+  | Ok (Enumerate.Complete r) ->
     check "G(x,z) answer cardinality" "2" (string_of_int (Relation.cardinal r))
   | _ -> check "G(x,z) answer cardinality" "2" "failed");
   check "M finite in state" "true" (finite_eq family_state m_query);
@@ -101,8 +105,11 @@ let e2 () =
         | Error e -> failwith e
       in
       let b =
-        match Enumerate.run ~domain:eq_domain ~state:family_state f with
-        | Ok (Enumerate.Finite r) -> r
+        match
+          Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 10_000) ~domain:eq_domain
+            ~state:family_state f
+        with
+        | Ok (Enumerate.Complete r) -> r
         | _ -> failwith "enumeration failed"
       in
       check (label ^ ": answers agree") "true" (bool_s (Relation.equal a b)))
@@ -114,8 +121,11 @@ let e3 () =
     parse "(forall y. R(y) -> y < x) /\\ (forall z. (forall y. R(y) -> y < z) -> x <= z)"
   in
   let natural =
-    match Enumerate.run ~domain:presburger ~state:nat_state lub with
-    | Ok (Enumerate.Finite r) -> Format.asprintf "%a" Relation.pp r
+    match
+      Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 10_000) ~domain:presburger
+        ~state:nat_state lub
+    with
+    | Ok (Enumerate.Complete r) -> Format.asprintf "%a" Relation.pp r
     | _ -> "failed"
   in
   check "natural answer (outside the active domain)" "{(6)}" natural;
@@ -265,12 +275,12 @@ let e11 () =
 
 let e12 () =
   section "E12 (Thm 3.3): halting as relative safety over T";
-  (match Halting_reduction.check ~fuel:500 ~machine:scan ~input:"11" () with
+  (match Halting_reduction.check ~budget:(Budget.of_fuel 500) ~machine:scan ~input:"11" with
   | Ok (Halting_reduction.Halts { steps = _; answer }) ->
     check "scan on 11: certified finite answer tuples" "3"
       (string_of_int (Relation.cardinal answer))
   | _ -> check "scan on 11: certified finite answer tuples" "3" "failed");
-  match Halting_reduction.check ~fuel:500 ~machine:looper ~input:"1" () with
+  match Halting_reduction.check ~budget:(Budget.of_fuel 500) ~machine:looper ~input:"1" with
   | Ok (Halting_reduction.Diverges_beyond { trace_count }) ->
     check "loop on 1: tuples reach the fuel bound" "500" (string_of_int trace_count)
   | _ -> check "loop on 1: tuples reach the fuel bound" "500" "failed"
@@ -380,7 +390,8 @@ let sweep_evaluators () =
     (fun n ->
       let st = chain_state n in
       let enum () =
-        Enumerate.run ~fuel:200_000 ~max_certified:(2 * n) ~domain:eq_domain ~state:st g_query
+        Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 200_000)
+          ~max_certified:(2 * n) ~domain:eq_domain ~state:st g_query
       in
       let adom () = Algebra_translate.run ~domain:eq_domain ~state:st g_query in
       let ranf () = Ranf.run ~domain:eq_domain ~state:st g_query in
@@ -502,12 +513,12 @@ let cache_ablation ~n =
      repeat decides into hash lookups. *)
   let st = chain_state n in
   let run ?cache () =
-    Enumerate.run ~fuel:200_000 ~max_certified:(2 * n) ?cache ~domain:eq_domain ~state:st
-      g_query
+    Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 200_000)
+      ~max_certified:(2 * n) ?cache ~domain:eq_domain ~state:st g_query
   in
   let answers =
     match run () with
-    | Ok (Enumerate.Finite r) -> Relation.cardinal r
+    | Ok (Enumerate.Complete r) -> Relation.cardinal r
     | _ -> -1
   in
   let uncached_us = time_us ~reps:3 (fun () -> run ()) in
@@ -562,17 +573,18 @@ let governor_ablation () =
   let join_plain, join_gov =
     best_pair ~runs:9 ~reps:40
       (fun () -> Relalg.eval ~state:st plan)
-      (fun () -> Relalg.eval ~state:st ~budget:(full_budget ()) plan)
+      (fun () -> Budget.guard (full_budget ()) (fun () -> Relalg.eval ~state:st plan))
   in
   (* 2. warm-cache enumeration (the A2 decide-cache hot path) *)
   let stc = chain_state 12 in
   let cache = Decide_cache.create () in
-  let enum_legacy () =
-    Enumerate.run ~fuel:200_000 ~max_certified:24 ~cache ~domain:eq_domain ~state:stc g_query
+  let enum_unshared () =
+    Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 200_000) ~max_certified:24
+      ~cache ~domain:eq_domain ~state:stc g_query
   in
-  ignore (enum_legacy ());
+  ignore (enum_unshared ());
   let enum_plain, enum_gov =
-    best_pair ~runs:9 ~reps:40 enum_legacy (fun () ->
+    best_pair ~runs:9 ~reps:40 enum_unshared (fun () ->
         Enumerate.run_budgeted ~max_certified:24 ~cache ~budget:(full_budget ())
           ~domain:eq_domain ~state:stc g_query)
   in
@@ -580,7 +592,8 @@ let governor_ablation () =
   let cooper_plain, cooper_gov =
     best_pair ~runs:9 ~reps:2000
       (fun () -> Cooper.decide cooper_sentence)
-      (fun () -> Cooper.decide ~budget:(full_budget ()) cooper_sentence)
+      (fun () ->
+        Budget.protect ~budget:(full_budget ()) (fun () -> Cooper.decide cooper_sentence))
   in
   [ ("chain_join_n1000", join_plain, join_gov);
     ("enumerate_warm_cache", enum_plain, enum_gov);
@@ -594,7 +607,8 @@ let hot_paths () =
   let stc = chain_state 12 in
   let cache = Decide_cache.create () in
   let enum () =
-    Enumerate.run ~fuel:200_000 ~max_certified:24 ~cache ~domain:eq_domain ~state:stc g_query
+    Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 200_000) ~max_certified:24
+      ~cache ~domain:eq_domain ~state:stc g_query
   in
   ignore (enum ());
   [ ("chain_join_n1000", 15, 4, fun () -> ignore (Relalg.eval ~state:st plan));
@@ -759,8 +773,11 @@ let batch_agreement () =
        (presburger, nat_state, parse "exists y. R(y) /\\ x + x = y + 1") |]
   in
   let eval cache (d, st, q) =
-    match Enumerate.run ~fuel:500_000 ?cache ~domain:d ~state:st q with
-    | Ok (Enumerate.Finite r) -> Some r
+    match
+      Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 500_000) ?cache ~domain:d
+        ~state:st q
+    with
+    | Ok (Enumerate.Complete r) -> Some r
     | _ -> None
   in
   let seq = Array.map (eval None) specs in
@@ -789,7 +806,7 @@ let ablations () =
       row "%6d %14.0f %14.0f %9.1fx  %s" n naive_us opt_us (naive_us /. opt_us)
         (verdict agree))
     [ 100; 1000 ];
-  section "A2: Enumerate.run with and without the decide cache";
+  section "A2: Enumerate.run_budgeted with and without the decide cache";
   row "%6s %8s %14s %14s %10s" "edges" "answers" "uncached(us)" "warm(us)" "speedup";
   List.iter
     (fun n ->
@@ -878,7 +895,9 @@ let bench_tests =
     Test.make ~name:"reach/decide-exists-trace"
       (Staged.stage (fun () -> Reach_qe.decide reach_sentence));
     Test.make ~name:"eval/enumerate-M(x)"
-      (Staged.stage (fun () -> Enumerate.run ~domain:eq_domain ~state:family_state m_query));
+      (Staged.stage (fun () ->
+           Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 10_000) ~domain:eq_domain
+             ~state:family_state m_query));
     Test.make ~name:"eval/algebra-M(x)"
       (Staged.stage (fun () ->
            Algebra_translate.run ~domain:eq_domain ~state:family_state m_query));

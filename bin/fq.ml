@@ -371,21 +371,21 @@ let eval_cmd =
                  Ok (Outcome.exit_code rep)
                end
                else begin
-                 if verbose then Format.printf "%a@." Query.pp rep;
-                 match rep.Query.verdict with
-                 | Query.Complete { answer; _ } ->
+                 if verbose then Format.printf "%a@." Outcome.pp rep;
+                 match rep.Outcome.verdict with
+                 | Outcome.Complete { answer; _ } ->
                    if not verbose then
                      Format.printf "finite answer (%d tuples): %a@."
                        (Relation.cardinal answer) Relation.pp answer;
                    Ok 0
-                 | Query.Partial { tuples; reason; _ } ->
+                 | Outcome.Partial { tuples; reason; _ } ->
                    if not verbose then
                      Format.printf
                        "%a; partial answer (%d tuples): %a@.(the answer may be infinite — \
                         relative safety is the hard part)@."
                        Budget.pp_failure reason (Relation.cardinal tuples) Relation.pp tuples;
                    Ok exit_partial
-                 | Query.Failed { reason } -> Error reason
+                 | Outcome.Failed { reason } -> Error reason
                end))))
   in
   let verbose =
@@ -538,11 +538,6 @@ let halting_cmd =
     with_common common @@ fun () ->
     report
       (Result.bind (machine_of_string machine) (fun m ->
-           let budget =
-             match common.timeout_ms with
-             | None -> Budget.of_fuel ~share:false common.fuel
-             | Some t -> Budget.make ~fuel:common.fuel ~timeout_ms:t ()
-           in
            Result.map
              (function
                | Halting_reduction.Halts { steps; answer } ->
@@ -558,7 +553,7 @@ let halting_cmd =
                     procedure can always tell)@."
                    common.fuel trace_count;
                  exit_partial)
-             (Halting_reduction.check ~budget ~machine:m ~input ())))
+             (Halting_reduction.check ~budget:(budget_of_common common) ~machine:m ~input)))
   in
   let machine =
     Arg.(value & opt string "loop" & info [ "m"; "machine" ] ~doc:"Zoo name or machine word.")
@@ -692,24 +687,24 @@ let explain_cmd =
                      Query.eval_resilient ~budget ~cache ?stats ~domain ~state f)
                in
                let code =
-                 match rep.Query.verdict with
-                 | Query.Complete { answer; tier } ->
+                 match rep.Outcome.verdict with
+                 | Outcome.Complete { answer; tier } ->
                    Format.printf "verdict: complete via %s (%d tuples): %a@." tier
                      (Relation.cardinal answer) Relation.pp answer;
                    0
-                 | Query.Partial { tuples; reason; resume } ->
+                 | Outcome.Partial { tuples; reason; resume } ->
                    Format.printf "verdict: partial (%a after %d candidates), %d tuples so far@."
-                     Budget.pp_failure reason resume.Query.seen (Relation.cardinal tuples);
+                     Budget.pp_failure reason resume.Outcome.seen (Relation.cardinal tuples);
                    exit_partial
-                 | Query.Failed { reason } ->
+                 | Outcome.Failed { reason } ->
                    Format.printf "verdict: failed (%s)@." reason;
                    exit_of_error reason
                in
                List.iter
                  (fun (tier, why) -> Format.printf "tier %s passed: %s@." tier why)
-                 rep.Query.attempts;
-               Format.printf "budget:  %d ticks, %.1f ms@." rep.Query.usage.Budget.ticks
-                 rep.Query.usage.Budget.elapsed_ms;
+                 rep.Outcome.attempts;
+               Format.printf "budget:  %d ticks, %.1f ms@." rep.Outcome.usage.Budget.ticks
+                 rep.Outcome.usage.Budget.elapsed_ms;
                Format.printf "%a" Telemetry.pp_pretty treport;
                Format.printf "budget attribution (self ticks by span):@.";
                List.iter
@@ -843,8 +838,8 @@ let batch_line idx r =
     Format.asprintf "[%d] partial after %d candidates (%a), %d tuples so far%s" idx
       resume.Outcome.seen Budget.pp_failure reason (Relation.cardinal tuples) suffix
   | Outcome.Failed { reason } ->
-    Printf.sprintf "[%d] %s: %s%s" idx (if r.crashed then "crashed" else "failed") reason
-      suffix
+    (* a crash's reason already reads "crashed: ...", as fq serve words it *)
+    Printf.sprintf "[%d] %s%s%s" idx (if r.crashed then "" else "failed: ") reason suffix
 
 let batch_job ~state ~stats ~cache ~breakers ~fuel ~timeout_ms ~retries ~chaos idx
     (domain_name, (domain : Domain.t), text) =
@@ -876,9 +871,9 @@ let batch_job ~state ~stats ~cache ~breakers ~fuel ~timeout_ms ~retries ~chaos i
         Query.eval_resilient ~budget ?resume:!resume ~stats ~domain:guarded ~state f
       in
       let rep = match plan with Some p -> Fault.with_plan p work | None -> work () in
-      spent := !spent + rep.Query.usage.Budget.ticks;
-      (match rep.Query.verdict with
-      | Query.Partial { resume = r; _ } -> resume := Some r
+      spent := !spent + rep.Outcome.usage.Budget.ticks;
+      (match rep.Outcome.verdict with
+      | Outcome.Partial { resume = r; _ } -> resume := Some r
       | _ -> ());
       rep
   in
@@ -886,8 +881,8 @@ let batch_job ~state ~stats ~cache ~breakers ~fuel ~timeout_ms ~retries ~chaos i
   let run =
     Supervisor.supervise ~policy
       ~retry_value:(fun rep ->
-        match rep.Query.verdict with
-        | Query.Partial { reason = Budget.Fuel_exhausted | Budget.Deadline_exceeded; _ } ->
+        match rep.Outcome.verdict with
+        | Outcome.Partial { reason = Budget.Fuel_exhausted | Budget.Deadline_exceeded; _ } ->
           Some "partial verdict, fuel remaining"
         | _ -> None)
       ~name:(Printf.sprintf "job%d:%s" idx domain_name)
@@ -897,7 +892,7 @@ let batch_job ~state ~stats ~cache ~breakers ~fuel ~timeout_ms ~retries ~chaos i
   match run.Supervisor.outcome with
   | Supervisor.Value rep -> { rep; crashed = false; retried; trace = None }
   | Supervisor.Crashed { reason; _ } ->
-    { rep = Outcome.failed reason; crashed = true; retried; trace = None }
+    { rep = Outcome.failed ("crashed: " ^ reason); crashed = true; retried; trace = None }
 
 (* --connect ADDR: unix:PATH, tcp:PORT, a bare PORT, or a bare PATH *)
 let addr_conv =

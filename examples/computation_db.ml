@@ -35,10 +35,13 @@ let () =
   (* Which experiments have already produced a trace? *)
   let q = parse "exists p. Exp(m, w) /\\ P(m, w, p)" in
   Format.printf "@.Experiments with at least one trace (all of them, by definition):@.";
-  (match Enumerate.run ~fuel:400 ~max_certified:6 ~domain ~state q with
-  | Ok (Enumerate.Finite r) -> Format.printf "  %a@." Relation.pp r
-  | Ok (Enumerate.Out_of_fuel r) ->
-    Format.printf "  (fuel exhausted) partial: %d rows@." (Relation.cardinal r)
+  (match
+     Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 400) ~max_certified:6 ~domain
+       ~state q
+   with
+  | Ok (Enumerate.Complete r) -> Format.printf "  %a@." Relation.pp r
+  | Ok (Enumerate.Partial { tuples; _ }) ->
+    Format.printf "  (fuel exhausted) partial: %d rows@." (Relation.cardinal tuples)
   | Error e -> Format.printf "  error: %s@." e);
 
   (* All traces of the halting experiments: P(m, w, p) for registered
@@ -47,7 +50,10 @@ let () =
   let traces_q = parse "Exp(m, w) /\\ P(m, w, p)" in
   Format.printf
     "@.All traces of registered experiments (the looper makes this infinite):@.";
-  (match Relative_safety.bounded ~fuel:600 ~max_certified:4 ~domain ~state traces_q with
+  (match
+     Relative_safety.bounded ~budget:(Budget.of_fuel ~share:false 600) ~max_certified:4 ~domain
+       ~state traces_q
+   with
   | Ok (Relative_safety.Finite r) ->
     Format.printf "  finite, %d rows (unexpected!)@." (Relation.cardinal r)
   | Ok (Relative_safety.Unknown partial) ->
@@ -60,7 +66,7 @@ let () =
   Format.printf "@.Theorem 3.3, instance by instance (query P(M, @@c, x) in state c = w):@.";
   List.iter
     (fun (name, machine, input) ->
-      match Halting_reduction.check ~fuel:2_000 ~machine ~input () with
+      match Halting_reduction.check ~budget:(Budget.of_fuel 2_000) ~machine ~input with
       | Ok (Halting_reduction.Halts { steps; answer }) ->
         Format.printf
           "  %s on %S: halts after %d steps -> finite answer, %d traces (certified)@." name

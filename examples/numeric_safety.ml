@@ -27,8 +27,12 @@ let () =
   in
   Format.printf "@.Fact 2.1's query (least element above the active domain):@.  %a@."
     Formula.pp fact21;
-  (match Enumerate.run ~fuel:2_000 ~domain:presburger ~state fact21 with
-  | Ok (Enumerate.Finite r) ->
+  let enumerate f =
+    Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 2_000) ~domain:presburger
+      ~state f
+  in
+  (match enumerate fact21 with
+  | Ok (Enumerate.Complete r) ->
     Format.printf "  natural answer: %a  (finite, but OUTSIDE the active domain!)@."
       Relation.pp r
   | _ -> Format.printf "  evaluation failed@.");
@@ -45,17 +49,17 @@ let () =
   Format.printf "@.An unsafe query: %a@." Formula.pp unsafe;
   let fin = Finitization.finitize unsafe in
   Format.printf "Its finitization (Theorem 2.2):@.  %a@." Formula.pp fin;
-  (match Enumerate.run ~fuel:2_000 ~domain:presburger ~state unsafe with
-  | Ok (Enumerate.Out_of_fuel partial) ->
+  (match enumerate unsafe with
+  | Ok (Enumerate.Partial { tuples; _ }) ->
     Format.printf "  original: out of fuel with %d tuples — infinite@."
-      (Relation.cardinal partial)
-  | Ok (Enumerate.Finite r) -> Format.printf "  original: finite %a@." Relation.pp r
+      (Relation.cardinal tuples)
+  | Ok (Enumerate.Complete r) -> Format.printf "  original: finite %a@." Relation.pp r
   | Error e -> Format.printf "  original: %s@." e);
-  (match Enumerate.run ~fuel:2_000 ~domain:presburger ~state fin with
-  | Ok (Enumerate.Finite r) ->
+  (match enumerate fin with
+  | Ok (Enumerate.Complete r) ->
     Format.printf "  finitization: finite %a (empty: the bound fails, so it truncates to ∅)@."
       Relation.pp r
-  | Ok (Enumerate.Out_of_fuel _) -> Format.printf "  finitization: out of fuel?!@."
+  | Ok (Enumerate.Partial _) -> Format.printf "  finitization: out of fuel?!@."
   | Error e -> Format.printf "  finitization: %s@." e);
 
   (* Theorem 2.5: relative safety over any decidable extension of N_< *)

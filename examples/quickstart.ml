@@ -43,11 +43,12 @@ let () =
     | Ok false -> Format.printf "  relative safety: INFINITE in this state@."
     | Error e -> Format.printf "  relative safety: error (%s)@." e);
     (* 3. answer via the Section 1.1 enumeration algorithm *)
-    match Enumerate.run ~fuel:5_000 ~domain ~state f with
-    | Ok (Enumerate.Finite r) -> Format.printf "  answer: %a@." Relation.pp r
-    | Ok (Enumerate.Out_of_fuel partial) ->
+    let budget = Budget.of_fuel ~share:false 5_000 in
+    match Enumerate.run_budgeted ~budget ~domain ~state f with
+    | Ok (Enumerate.Complete r) -> Format.printf "  answer: %a@." Relation.pp r
+    | Ok (Enumerate.Partial { tuples; _ }) ->
       Format.printf "  answer: ran out of fuel; partial answer has %d tuples@."
-        (Relation.cardinal partial)
+        (Relation.cardinal tuples)
     | Error e -> Format.printf "  answer: error (%s)@." e
   in
   show "M(x)" m;

@@ -102,10 +102,10 @@ let compile ~db f =
     else Ok rel
   | exception Unsupported msg -> Error msg
 
-let query ?budget ~db f = Fq_core.Budget.protect ?budget (fun () -> compile ~db f)
+let query ~db f = Fq_core.Budget.protect (fun () -> compile ~db f)
 
-let holds ?budget ~db f ~env =
-  Fq_core.Budget.protect ?budget (fun () ->
+let holds ~db f ~env =
+  Fq_core.Budget.protect (fun () ->
       let* rel = compile ~db f in
       let cols = Crel.columns rel in
       let* tuple =
@@ -119,8 +119,8 @@ let holds ?budget ~db f ~env =
       in
       Ok (Crel.mem rel tuple))
 
-let decide ?budget ~db f =
-  Fq_core.Budget.protect ?budget (fun () ->
+let decide ~db f =
+  Fq_core.Budget.protect (fun () ->
       let* rel = compile ~db f in
       if Crel.columns rel <> [] then Error "not a sentence"
       else Ok (not (Crel.is_empty rel)))

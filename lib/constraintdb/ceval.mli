@@ -17,8 +17,7 @@ type db = (string * Crel.t) list
 (** Named constraint relations; each fixes the arity via its columns
     (column names are positional placeholders, renamed on use). *)
 
-val query :
-  ?budget:Fq_core.Budget.t -> db:db -> Fq_logic.Formula.t -> (Crel.t, string) result
+val query : db:db -> Fq_logic.Formula.t -> (Crel.t, string) result
 (** Evaluates a formula over the signature [{<, <=, =}] plus the database
     relations. The result's columns are the formula's free variables in
     first-occurrence order. Constants are decimal rationals ([Term.Const
@@ -29,20 +28,14 @@ val query :
     natural one over all of ℚ (constraint relations are not restricted to
     an active domain). *)
 
-val holds :
-  ?budget:Fq_core.Budget.t ->
-  db:db ->
-  Fq_logic.Formula.t ->
-  env:(string * Rat.t) list ->
-  (bool, string) result
+val holds : db:db -> Fq_logic.Formula.t -> env:(string * Rat.t) list -> (bool, string) result
 (** Truth of a formula under an assignment of rationals to its free
     variables. *)
 
-val decide :
-  ?budget:Fq_core.Budget.t -> db:db -> Fq_logic.Formula.t -> (bool, string) result
+val decide : db:db -> Fq_logic.Formula.t -> (bool, string) result
 (** Truth of a sentence: evaluate and test nonemptiness.
 
     All three entry points charge one work unit per connective of the
-    compilation recursion to [budget] (or the ambient {!Fq_core.Budget});
+    compilation recursion to the ambient {!Fq_core.Budget};
     governor trips come back as the structured [Error] strings of
     {!Fq_core.Budget.error_string}. *)

@@ -10,7 +10,6 @@ exception Exhausted of failure
 type t = {
   fuel_limit : int; (* max_int = unlimited *)
   deadline : float; (* absolute gettimeofday; infinity = none *)
-  max_result : int; (* max_int = uncapped *)
   cancelled : unit -> bool;
   shared : bool; (* eligible to become the ambient budget under [guard] *)
   started : float;
@@ -24,12 +23,12 @@ let now () = Unix.gettimeofday ()
 
 (* Tick clock: every budget advances it alongside its own [spent].  The
    telemetry layer reads it at span boundaries to attribute fuel to the
-   innermost open span, whichever budget (explicit, ambient, or legacy
-   [~share:false]) was charged.  The clock is thread-local and runs only
-   inside [with_tick_clock]: the supervised batch runner evaluates on a
-   pool of domains and [fq serve] on worker seats that may be threads of
-   one domain, and a shared counter would charge every worker's spans
-   with the other workers' ticks. *)
+   innermost open span, whichever budget (ambient or unshared) was
+   charged.  The clock is thread-local and runs only inside
+   [with_tick_clock]: the supervised batch runner evaluates on a pool of
+   domains and [fq serve] on worker seats that may be threads of one
+   domain, and a shared counter would charge every worker's spans with
+   the other workers' ticks. *)
 let clock : int ref option Thread_local.key = Thread_local.new_key None
 
 let global_ticks () = match Thread_local.get clock with Some r -> !r | None -> 0
@@ -44,7 +43,7 @@ let with_tick_clock f =
 (* How often a busy evaluation offers the runtime lock; see [slow_check]. *)
 let yield_interval = 0.001
 
-let make ?fuel ?timeout_ms ?max_result ?cancel () =
+let make ?fuel ?timeout_ms ?cancel () =
   let started = now () in
   {
     fuel_limit = Option.value fuel ~default:max_int;
@@ -52,7 +51,6 @@ let make ?fuel ?timeout_ms ?max_result ?cancel () =
       (match timeout_ms with
       | None -> infinity
       | Some ms -> started +. (float_of_int ms /. 1000.));
-    max_result = Option.value max_result ~default:max_int;
     cancelled = Option.value cancel ~default:never_cancelled;
     shared = true;
     started;
@@ -60,13 +58,9 @@ let make ?fuel ?timeout_ms ?max_result ?cancel () =
     yield_at = started +. yield_interval;
   }
 
-let unlimited () = make ()
-
 let of_fuel ?(share = true) fuel =
   let b = make ~fuel () in
   if share then b else { b with shared = false }
-
-let with_deadline ~timeout_ms = make ~timeout_ms ()
 
 (* Deadline and cancellation are polled only every [slow_mask + 1] ticks:
    a gettimeofday per checkpoint would dominate tight QE loops. *)
@@ -102,16 +96,6 @@ let charge b n =
     if b.spent > b.fuel_limit then raise (Exhausted Fuel_exhausted);
     if b.deadline < infinity || b.cancelled != never_cancelled then slow_check b
   end
-
-let ensure_size b n = if n > b.max_result then raise (Exhausted (Oversize b.max_result))
-
-let check b =
-  if b.cancelled () then Some Cancelled
-  else if b.spent > b.fuel_limit then Some Fuel_exhausted
-  else if now () > b.deadline then Some Deadline_exceeded
-  else None
-
-let exhausted b = Option.is_some (check b)
 
 let unsupported msg = raise (Exhausted (Unsupported msg))
 

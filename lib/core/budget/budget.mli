@@ -2,14 +2,20 @@
 
     Every long-running engine in the system (enumeration, quantifier
     elimination, relational-algebra evaluation, Turing-machine simulation,
-    constraint-database evaluation) accepts an optional [Budget.t] and
-    checkpoints through it.  A budget combines
+    constraint-database evaluation) checkpoints through a [Budget.t].  A
+    budget combines
     - step fuel (a count of abstract work units),
-    - a wall-clock deadline,
-    - a result-cardinality cap, and
+    - a wall-clock deadline, and
     - a cooperative cancellation hook,
     and converts overruns into the structured {!failure} taxonomy instead of
     hangs, [failwith], or [invalid_arg].
+
+    One rule hands work its budget: a function that owns a bounded loop
+    takes [~budget] and installs it (with {!guard} or {!protect}); code
+    that runs beneath it reads the ambient budget ({!tick_ambient},
+    {!charge_ambient}) and takes no budget parameter.  A caller that wants
+    its own bound around an ambient-reading entry point writes
+    [Budget.protect ~budget (fun () -> ...)].
 
     The paper's Theorems 3.1/3.3 show that query finiteness over T is
     undecidable, so a bound of this kind is the only way a production
@@ -18,7 +24,9 @@
 type failure =
   | Fuel_exhausted
   | Deadline_exceeded
-  | Oversize of int  (** result cardinality exceeded the cap; payload = cap *)
+  | Oversize of int
+      (** the enumeration found more tuples than its certification cap;
+          payload = cap *)
   | Cancelled
   | Unsupported of string
       (** the input is outside the engine's supported fragment (e.g. a
@@ -31,23 +39,15 @@ exception Exhausted of failure
 
 type t
 
-val make :
-  ?fuel:int -> ?timeout_ms:int -> ?max_result:int -> ?cancel:(unit -> bool) -> unit -> t
+val make : ?fuel:int -> ?timeout_ms:int -> ?cancel:(unit -> bool) -> unit -> t
 (** Fresh governor.  Omitted dimensions are unlimited.  The deadline clock
     starts at [make] time. *)
 
-val unlimited : unit -> t
-(** A budget that never trips (checkpoints still count ticks). *)
-
 val of_fuel : ?share:bool -> int -> t
-(** Fuel-only budget, for back-compat with the legacy [~fuel] integers.
-    [share] (default [true]) controls whether {!guard} installs it as the
-    ambient budget; legacy call sites pass [~share:false] so that only the
-    engine that created the budget ticks it, preserving historical fuel
-    accounting exactly. *)
-
-val with_deadline : timeout_ms:int -> t
-(** Deadline-only budget. *)
+(** Fuel-only budget.  [share] (default [true]) controls whether {!guard}
+    installs it as the ambient budget; [~share:false] keeps the engines
+    beneath the owner from ticking it, so the fuel counts only the owner's
+    own steps (e.g. the candidates of an enumeration, not its QE work). *)
 
 (** {1 Checkpoints} — cheap enough for inner loops. *)
 
@@ -59,15 +59,6 @@ val tick : t -> unit
 val charge : t -> int -> unit
 (** Charge [n] work units at once (e.g. the cardinality of an intermediate
     relation). *)
-
-val ensure_size : t -> int -> unit
-(** Raise [Exhausted (Oversize cap)] if [n] exceeds the result-cardinality
-    cap. *)
-
-val check : t -> failure option
-(** Non-raising probe: [Some f] if the budget is already dry. *)
-
-val exhausted : t -> bool
 
 val unsupported : string -> 'a
 (** [unsupported msg] raises [Exhausted (Unsupported msg)] — the structured

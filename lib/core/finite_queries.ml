@@ -34,9 +34,10 @@
       RANF → active-domain → budgeted-enumeration degradation chain.
 
     {2 Resource governor and supervision}
-    - {!Budget} — step fuel, wall-clock deadline, cardinality cap, and
-      cooperative cancellation unified behind one structured failure type;
-      threaded through every long-running engine.
+    - {!Budget} — step fuel, wall-clock deadline and cooperative
+      cancellation unified behind one structured failure type; the
+      function that owns a bounded loop takes [~budget] and installs it,
+      and every engine beneath reads that ambient budget.
     - {!Fault} — deterministic chaos harness: named injection sites in the
       engine hot paths fire on a pure [(seed, site, hit)] schedule.
     - {!Supervisor} — crash isolation, retry with exponential backoff,

@@ -165,18 +165,16 @@ let node_metric fp = card_metric ^ "." ^ fp
 (* Evaluation                                                           *)
 (* ------------------------------------------------------------------ *)
 
-module B = Fq_core.Budget
 module T = Fq_core.Telemetry
 
-(* Every operator charges one unit plus the cardinality it materialized,
-   against the explicit budget if given, else the ambient one — so a
-   governed front-end bounds even plans evaluated deep inside a compiled
-   tier.  [Budget.Exhausted] propagates; front-ends [guard].  Telemetry
-   sees each materialization too: the per-node output-cardinality
-   histograms (aggregate, and keyed by the post-optimization node
-   fingerprint while a recording is active) are what the cost model's
-   stats profile is built from. *)
-let make_settle ~budget ~fps node card =
+(* Every operator charges one unit plus the cardinality it materialized
+   to the ambient budget — so a governed front-end bounds even plans
+   evaluated deep inside a compiled tier.  [Budget.Exhausted] propagates;
+   front-ends [guard].  Telemetry sees each materialization too: the
+   per-node output-cardinality histograms (aggregate, and keyed by the
+   post-optimization node fingerprint while a recording is active) are
+   what the cost model's stats profile is built from. *)
+let make_settle ~fps node card =
   Fq_core.Fault.hit "relalg.node";
   T.count "relalg.nodes";
   T.observe card_metric (float_of_int card);
@@ -186,12 +184,7 @@ let make_settle ~budget ~fps node card =
     match List.assq_opt node fps with
     | Some fp -> T.observe (node_metric fp) (float_of_int card)
     | None -> ()));
-  let n = 1 + card in
-  match budget with
-  | Some b ->
-    B.charge b n;
-    B.ensure_size b card
-  | None -> B.charge_ambient n
+  Fq_core.Budget.charge_ambient (1 + card)
 
 (* The state's columnar image — its dictionary (rank-ordered over the
    active domain) and every base relation encoded through it — is built
@@ -407,12 +400,12 @@ let eval_columnar ~state ~settle ~domain_pred plan =
   let out = go plan in
   (C.to_relation dict out, !probes)
 
-let eval ~state ?budget ?(domain_pred = no_domain_pred) plan =
+let eval ~state ?(domain_pred = no_domain_pred) plan =
   T.with_span "relalg.eval" (fun () ->
       (* per-node attribution only while a collector is installed: the
          disabled path stays a single ref read per settle *)
       let fps = if T.enabled () then annotate plan else [] in
-      let settle = make_settle ~budget ~fps in
+      let settle = make_settle ~fps in
       let rel, probes = eval_columnar ~state ~settle ~domain_pred plan in
       T.set_attr "out_card" (T.Int (Relation.cardinal rel));
       T.set_attr "index_probes" (T.Int probes);

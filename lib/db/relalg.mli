@@ -43,7 +43,6 @@ val arity_check : schema:Schema.t -> t -> (int, string) result
 
 val eval :
   state:State.t ->
-  ?budget:Fq_core.Budget.t ->
   ?domain_pred:(string -> Value.t list -> bool) ->
   t ->
   Relation.t
@@ -51,10 +50,9 @@ val eval :
     dictionary-encoded {!Columnar} image. [domain_pred] decides domain
     predicate atoms in selections (defaults to rejecting every such atom
     with [Invalid_argument]). Every operator charges one work unit plus
-    the cardinality of its result to [budget] — or, when no explicit
-    budget is given, to the ambient {!Fq_core.Budget} if one is installed
-    — and an explicit budget's cardinality cap applies to every
-    intermediate.
+    the cardinality of its result to the ambient {!Fq_core.Budget}, if
+    one is installed; a caller bounds the evaluation by running it under
+    {!Fq_core.Budget.guard}.
 
     A selection anchored at a constant over a base relation, and a join
     with a base relation on either side, find their rows through

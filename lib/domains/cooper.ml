@@ -287,8 +287,8 @@ let qe_exn f =
   in
   go f
 
-let qe ?budget f =
-  Budget.protect ?budget (fun () -> Telemetry.with_span "qe.cooper" (fun () -> qe_exn f))
+let qe f =
+  Budget.protect (fun () -> Telemetry.with_span "qe.cooper" (fun () -> qe_exn f))
 
 let eval_qf ~env qf =
   let eval_atom = function
@@ -305,8 +305,8 @@ let eval_qf ~env qf =
   in
   go qf
 
-let decide ?budget f =
-  Budget.protect ?budget (fun () ->
+let decide f =
+  Budget.protect (fun () ->
       Telemetry.with_span "qe.cooper" @@ fun () ->
       if not (Formula.is_sentence f) then
         Error

@@ -39,15 +39,15 @@ val eliminate : string -> qf -> qf
     raises [Budget.Exhausted (Unsupported _)] when the divisor LCM δ (a
     {!Fq_numeric.Bigint}) exceeds the native expansion range. *)
 
-val qe : ?budget:Fq_core.Budget.t -> Fq_logic.Formula.t -> (qf, string) result
-(** Eliminates all quantifiers of an arbitrary formula. Runs under
-    [budget] when given; governor trips come back as the structured
-    [Error] strings of {!Fq_core.Budget.error_string} (recover with
+val qe : Fq_logic.Formula.t -> (qf, string) result
+(** Eliminates all quantifiers of an arbitrary formula under the ambient
+    {!Fq_core.Budget}; governor trips come back as the structured [Error]
+    strings of {!Fq_core.Budget.error_string} (recover with
     [failure_of_string]), never as exceptions. *)
 
 val eval_qf : env:(string * Fq_numeric.Bigint.t) list -> qf -> (bool, string) result
 
-val decide : ?budget:Fq_core.Budget.t -> Fq_logic.Formula.t -> (bool, string) result
+val decide : Fq_logic.Formula.t -> (bool, string) result
 (** Truth of a sentence in [(ℤ, <, +, dvd)]. Same budget contract as
     {!qe}. *)
 

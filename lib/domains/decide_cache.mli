@@ -98,7 +98,7 @@ val decide : t -> Domain.t -> Fq_logic.Formula.t -> (bool, string) result
 val domain : t -> Domain.t -> Domain.t
 (** [domain cache d] is [d] with its [decide] routed through the cache —
     a drop-in replacement wherever a {!Domain.t} is consumed
-    (e.g. {!Fq_eval.Enumerate.run}). *)
+    (e.g. {!Fq_eval.Enumerate.run_budgeted}). *)
 
 val guarded :
   t -> breaker:Fq_core.Supervisor.Breaker.t -> name:string -> Domain.t -> Domain.t

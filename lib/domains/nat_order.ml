@@ -209,8 +209,8 @@ let exists_conj x lits =
       Transform.simplify (Formula.And (rest, Formula.disj cases))
     end
 
-let qe ?budget f =
-  Budget.protect ?budget (fun () ->
+let qe f =
+  Budget.protect (fun () ->
       Telemetry.with_span "qe.nat_order" @@ fun () ->
       if not (Signature.is_pure signature f) then Error "not a pure N_< formula"
       else

@@ -18,8 +18,8 @@
 
 include Domain.S
 
-val qe : ?budget:Fq_core.Budget.t -> Fq_logic.Formula.t -> (Fq_logic.Formula.t, string) result
+val qe : Fq_logic.Formula.t -> (Fq_logic.Formula.t, string) result
 (** Quantifier-free equivalent over [N_<] (free variables allowed, ranging
-    over ℕ). Each test-point instantiation is checkpointed against
-    [budget] (or the ambient {!Fq_core.Budget}); governor trips come back
-    as structured [Error] strings, never exceptions. *)
+    over ℕ). Each test-point instantiation is checkpointed against the
+    ambient {!Fq_core.Budget}; governor trips come back as structured
+    [Error] strings, never exceptions. *)

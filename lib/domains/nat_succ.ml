@@ -158,8 +158,8 @@ let exists_conj x lits =
       in
       Formula.conj (List.map formula_of_atom rest)
 
-let qe ?budget f =
-  Budget.protect ?budget (fun () ->
+let qe f =
+  Budget.protect (fun () ->
       Telemetry.with_span "qe.nat_succ" @@ fun () ->
       if not (Signature.is_pure signature f) then Error "not a pure N' formula"
       else

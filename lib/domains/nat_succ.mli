@@ -14,10 +14,10 @@
 
 include Domain.S
 
-val qe : ?budget:Fq_core.Budget.t -> Fq_logic.Formula.t -> (Fq_logic.Formula.t, string) result
+val qe : Fq_logic.Formula.t -> (Fq_logic.Formula.t, string) result
 (** Quantifier-free equivalent over [N'] (free variables allowed). Each
-    eliminated quantifier is checkpointed against [budget] (or the ambient
-    {!Fq_core.Budget}); governor trips come back as structured [Error]
+    eliminated quantifier is checkpointed against the ambient
+    {!Fq_core.Budget}; governor trips come back as structured [Error]
     strings, never exceptions. *)
 
 val qe_offset_bound : Fq_logic.Formula.t -> int

@@ -709,8 +709,8 @@ let eliminate f =
   in
   Reach.simplify_bool (go (Reach.nnf f))
 
-let decide ?budget f =
-  Budget.protect ?budget (fun () ->
+let decide f =
+  Budget.protect (fun () ->
       Telemetry.with_span "qe.reach" @@ fun () ->
       if not (Reach.is_sentence f) then
         Error
@@ -721,5 +721,5 @@ let decide ?budget f =
         | qf -> Reach.eval_ground (renorm qf)
         | exception Not_canonical msg -> Error ("internal: non-canonical literal: " ^ msg))
 
-let decide_formula ?budget f =
-  Budget.protect ?budget (fun () -> Result.bind (Reach.of_formula f) (fun r -> decide r))
+let decide_formula f =
+  Budget.protect (fun () -> Result.bind (Reach.of_formula f) (fun r -> decide r))

@@ -28,14 +28,13 @@ val eliminate : Reach.t -> Reach.t
     clause) checkpoint against the ambient {!Fq_core.Budget}, so a governed
     caller can cut them short. *)
 
-val decide : ?budget:Fq_core.Budget.t -> Reach.t -> (bool, string) result
+val decide : Reach.t -> (bool, string) result
 (** Truth of a Reach-theory sentence: eliminate, then evaluate the ground
     residue with bounded Turing-machine simulation. Governor trips come
     back as the structured [Error] strings of
     {!Fq_core.Budget.error_string}, never as exceptions. *)
 
-val decide_formula :
-  ?budget:Fq_core.Budget.t -> Fq_logic.Formula.t -> (bool, string) result
+val decide_formula : Fq_logic.Formula.t -> (bool, string) result
 (** Truth of a sentence over the {e original} signature of [T]
     ([P], [=], word constants): translate via {!Reach.of_formula}, then
     {!decide}. This is the paper's Corollary A.4. *)

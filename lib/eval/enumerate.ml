@@ -6,10 +6,6 @@ module Term = Fq_logic.Term
 module Value = Fq_db.Value
 module Relation = Fq_db.Relation
 
-type outcome =
-  | Finite of Relation.t
-  | Out_of_fuel of Relation.t
-
 type budgeted =
   | Complete of Relation.t
   | Partial of { tuples : Relation.t; seen : int; reason : Budget.failure }
@@ -195,7 +191,6 @@ let run_budgeted ?(max_certified = 12) ?cache ?resume ~budget ~domain ~state f =
               found := Relation.add tuple !found;
               let clause = exclusion_clause tuple in
               excl := (match !excl with Formula.True -> clause | prev -> Formula.And (prev, clause));
-              Budget.ensure_size budget (Relation.cardinal !found);
               (* The completeness sentence grows with every found tuple and
                  can overwhelm the decision procedure; past the certification
                  cap we stop claiming completeness. *)
@@ -224,13 +219,3 @@ let run_budgeted ?(max_certified = 12) ?cache ?resume ~budget ~domain ~state f =
     | Error reason -> Ok (Partial { tuples = !found; seen = !seen; reason })
     | exception Decide_failed e -> Error e
   end
-
-let run ?(fuel = 10_000) ?budget ?(max_certified = 12) ?cache ~domain ~state f =
-  (* Without an explicit governor, [fuel] keeps its historical meaning — a
-     cap on candidates decided, with the decision procedures untouched
-     ([~share:false] keeps the budget out of the ambient slot). *)
-  let budget = match budget with Some b -> b | None -> Budget.of_fuel ~share:false fuel in
-  let* b = run_budgeted ~max_certified ?cache ~budget ~domain ~state f in
-  match b with
-  | Complete rel -> Ok (Finite rel)
-  | Partial { tuples; _ } -> Ok (Out_of_fuel tuples)

@@ -5,19 +5,6 @@ module Relation = Fq_db.Relation
 module State = Fq_db.State
 module Schema = Fq_db.Schema
 
-type resume = Outcome.resume = { seen : int; found : Relation.t }
-
-type verdict = Outcome.verdict =
-  | Complete of { answer : Relation.t; tier : string }
-  | Partial of { tuples : Relation.t; reason : Budget.failure; resume : resume }
-  | Failed of { reason : string }
-
-type report = Outcome.t = {
-  verdict : verdict;
-  usage : Budget.usage;
-  attempts : (string * string) list;
-}
-
 let scan_tier = "enumerate"
 
 type compiler =
@@ -78,24 +65,24 @@ let eval_resilient ?budget ?max_certified ?cache ?resume ?stats ~domain ~state f
   Telemetry.with_span "query.eval_resilient" @@ fun () ->
   let arity = List.length (Formula.free_vars f) in
   let partial ?(tuples = Relation.empty ~arity) ?(seen = 0) reason =
-    Partial { tuples; reason; resume = { seen; found = tuples } }
+    Outcome.Partial { tuples; reason; resume = { seen; found = tuples } }
   in
-  let finish verdict attempts = { verdict; usage = Budget.usage budget; attempts } in
+  let finish verdict attempts = { Outcome.verdict; usage = Budget.usage budget; attempts } in
   let enumerate attempts =
-    let resume = Option.map (fun r -> (r.seen, r.found)) resume in
+    let resume = Option.map (fun (r : Outcome.resume) -> (r.seen, r.found)) resume in
     finish
       (Telemetry.with_span ("tier:" ^ scan_tier) (fun () ->
            match Enumerate.run_budgeted ?max_certified ?cache ?resume ~budget ~domain ~state f with
-           | Ok (Enumerate.Complete answer) -> Complete { answer; tier = scan_tier }
+           | Ok (Enumerate.Complete answer) -> Outcome.Complete { answer; tier = scan_tier }
            | Ok (Enumerate.Partial { tuples; seen; reason }) -> partial ~tuples ~seen reason
-           | Error e -> Failed { reason = e }))
+           | Error e -> Outcome.Failed { reason = e }))
       attempts
   in
   let annotate rep =
     Telemetry.set_attr "verdict"
       (Telemetry.Str
-         (match rep.verdict with
-         | Complete { tier; _ } -> "complete:" ^ tier
+         (match rep.Outcome.verdict with
+         | Outcome.Complete { tier; _ } -> "complete:" ^ tier
          | Partial _ -> "partial"
          | Failed _ -> "failed"));
     Telemetry.set_attr "budget_ticks" (Telemetry.Int rep.usage.Budget.ticks);
@@ -111,7 +98,7 @@ let eval_resilient ?budget ?max_certified ?cache ?resume ?stats ~domain ~state f
     let run () = Result.bind (compile ()) (Algebra_translate.eval_compiled ~domain ~state) in
     let outcome, result =
       match Budget.guard budget run with
-      | Ok (Ok answer) -> ("answered", Ok (Complete { answer; tier }))
+      | Ok (Ok answer) -> ("answered", Ok (Outcome.Complete { answer; tier }))
       | Ok (Error e) -> (
         match Budget.failure_of_string e with
         | Some reason -> ("budget", Ok (partial reason))
@@ -128,5 +115,3 @@ let eval_resilient ?budget ?max_certified ?cache ?resume ?stats ~domain ~state f
       match snd (ladder ?stats ~domain ~state f step) with
       | Ok (verdict, attempts) -> finish verdict attempts
       | Error attempts -> enumerate attempts))
-
-let pp = Outcome.pp

@@ -19,28 +19,6 @@
 
 module Budget = Fq_core.Budget
 
-type resume = Outcome.resume = { seen : int; found : Fq_db.Relation.t }
-(** Resume token: candidates consumed and tuples found by the interrupted
-    scan.  Feed it back through [?resume] with a fresh budget to continue
-    where the previous call stopped.  The type (and its JSON form) lives
-    in {!Outcome}; this equation keeps historical [Query.resume] callers
-    compiling. *)
-
-type verdict = Outcome.verdict =
-  | Complete of { answer : Fq_db.Relation.t; tier : string }
-      (** [tier] is ["ranf-algebra"], ["adom-algebra"], or {!scan_tier}. *)
-  | Partial of { tuples : Fq_db.Relation.t; reason : Budget.failure; resume : resume }
-  | Failed of { reason : string }
-
-type report = Outcome.t = {
-  verdict : verdict;
-  usage : Budget.usage;  (** ticks charged and wall-clock spent *)
-  attempts : (string * string) list;
-      (** tiers tried before the answering one, with why each passed *)
-}
-(** An evaluation report {e is} an {!Outcome.t} — serialize it with
-    {!Outcome.to_json}, map it to an exit code with {!Outcome.exit_code}. *)
-
 val scan_tier : string
 (** ["enumerate"]: the tier that answers when no compiled tier applies. *)
 
@@ -73,18 +51,17 @@ val eval_resilient :
   ?budget:Budget.t ->
   ?max_certified:int ->
   ?cache:Fq_domain.Decide_cache.t ->
-  ?resume:resume ->
+  ?resume:Outcome.resume ->
   ?stats:Fq_db.Optimizer.Stats.t ->
   domain:Fq_domain.Domain.t ->
   state:Fq_db.State.t ->
   Fq_logic.Formula.t ->
-  report
+  Outcome.t
 (** Never raises and never hangs under a finite budget.  The default
-    budget is [Budget.of_fuel 10_000], matching {!Enumerate.run}.  With
-    [?resume] the compiled tiers are skipped (the prior call already fell
-    through them) and the scan continues from the token.  [?stats] feeds
-    the compiled tiers' cost-based optimizer (e.g. a telemetry profile
-    via {!Fq_db.Optimizer.Stats.with_profile}); by default each tier
-    derives base-cardinality statistics from the state. *)
-
-val pp : Format.formatter -> report -> unit
+    budget is [Budget.of_fuel 10_000].  With [?resume] (the token of a
+    previous [Partial]) the compiled tiers are skipped (the prior call
+    already fell through them) and the scan continues from the token.
+    [?stats] feeds the compiled tiers' cost-based optimizer (e.g. a
+    telemetry profile via {!Fq_db.Optimizer.Stats.with_profile}); by
+    default each tier derives base-cardinality statistics from the
+    state. *)

@@ -14,12 +14,7 @@ type evidence =
 
 let ( let* ) = Result.bind
 
-let check ?(fuel = 1_000) ?budget ~machine ~input () =
-  (* One notion of bounded execution: the fuel default is just a fuel-only
-     budget; an explicit [budget] adds deadline/cancellation on top. *)
-  let budget =
-    match budget with Some b -> b | None -> Fq_core.Budget.of_fuel ~share:false fuel
-  in
+let check ~budget ~machine ~input =
   if not (Word.is_machine_shaped machine) then
     Error (Printf.sprintf "%S is not machine-shaped" machine)
   else if not (Word.is_input input) then

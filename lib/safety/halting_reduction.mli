@@ -27,18 +27,15 @@ type evidence =
       (** [M] halts on [w]; the certified finite answer has [steps + 1]
           tuples. *)
   | Diverges_beyond of { trace_count : int }
-      (** [M] ran past the fuel; at least [trace_count] answer tuples
+      (** [M] ran past the budget; at least [trace_count] answer tuples
           exist (the answer is infinite if [M] truly diverges). *)
 
 val check :
-  ?fuel:int ->
-  ?budget:Fq_core.Budget.t ->
+  budget:Fq_core.Budget.t ->
   machine:Fq_words.Word.t ->
   input:Fq_words.Word.t ->
-  unit ->
   (evidence, string) result
 (** Runs both sides of the reduction on a concrete instance: simulates the
-    machine under the shared governor ([budget] if given, else a fuel-only
-    budget of [fuel], default 1000), and in the halting case certifies the
+    machine under [budget], and in the halting case certifies the
     finite answer via {!Fq_eval.Enumerate.certified_complete} (the answer
     being the trace set computed directly). *)

@@ -37,17 +37,17 @@ let via_finitization ~domain ~decide ~state f =
 let via_extended_active ~state f =
   Ext_active.finite_in_state ~domain:(module Fq_domain.Nat_succ) ~state f
 
-let rec bounded ?(fuel = 2_000) ?budget ?max_certified ~domain ~state f =
+let rec bounded ~budget ?max_certified ~domain ~state f =
   (* When a complete relative-safety procedure exists for the domain, use
      it to recognize the infinite case outright; otherwise (in particular
      over T) fall back to pure enumeration. *)
   match decide_for ~domain ~state f with
   | Ok false -> Ok Infinite
   | Ok true | Error _ -> (
-    let* outcome = Fq_eval.Enumerate.run ~fuel ?budget ?max_certified ~domain ~state f in
+    let* outcome = Fq_eval.Enumerate.run_budgeted ~budget ?max_certified ~domain ~state f in
     match outcome with
-    | Fq_eval.Enumerate.Finite rel -> Ok (Finite rel)
-    | Fq_eval.Enumerate.Out_of_fuel partial -> Ok (Unknown partial))
+    | Fq_eval.Enumerate.Complete rel -> Ok (Finite rel)
+    | Fq_eval.Enumerate.Partial { tuples; _ } -> Ok (Unknown tuples))
 
 and decide_for ~domain ~state f =
   let (module D : Fq_domain.Domain.S) = domain in
@@ -59,5 +59,5 @@ and decide_for ~domain ~state f =
   | "traces" ->
     Error
       "relative safety over the trace domain T is undecidable (Theorem 3.3); use \
-       Relative_safety.bounded for a fuel-bounded semi-decision"
+       Relative_safety.bounded for a budget-bounded semi-decision"
   | name -> Error (Printf.sprintf "no relative-safety procedure for domain %s" name)

@@ -13,12 +13,12 @@
     Negative case — Theorem 3.3: over the trace domain [T] the problem is
     undecidable (see {!Halting_reduction}); {!bounded} provides the
     semi-decision that is still available: run the Section 1.1 enumeration
-    with fuel and report what was established. *)
+    under a budget and report what was established. *)
 
 type verdict =
   | Finite of Fq_db.Relation.t  (** finite, with the full answer *)
   | Infinite
-  | Unknown of Fq_db.Relation.t  (** fuel exhausted; partial answer *)
+  | Unknown of Fq_db.Relation.t  (** budget exhausted; partial answer *)
 
 val via_active_domain :
   state:Fq_db.State.t -> Fq_logic.Formula.t -> (bool, string) result
@@ -40,17 +40,17 @@ val via_extended_active :
 (** Theorem 2.6 over {!Fq_domain.Nat_succ}. *)
 
 val bounded :
-  ?fuel:int ->
-  ?budget:Fq_core.Budget.t ->
+  budget:Fq_core.Budget.t ->
   ?max_certified:int ->
   domain:Fq_domain.Domain.t ->
   state:Fq_db.State.t ->
   Fq_logic.Formula.t ->
   (verdict, string) result
-(** Fuel-bounded semi-decision for arbitrary decidable domains (including
-    [T], where no complete procedure can exist): runs the enumeration
-    algorithm; [Finite] and its answer are certified by the decision
-    procedure, [Unknown] is reported when fuel runs out. [Infinite] is
+(** Budget-bounded semi-decision for arbitrary decidable domains
+    (including [T], where no complete procedure can exist): runs
+    {!Fq_eval.Enumerate.run_budgeted}; [Finite] and its answer are
+    certified by the decision procedure, [Unknown] is reported when the
+    budget runs out. [Infinite] is
     reported when the domain decides the unboundedness sentence — only
     available where the bounding is expressible (never for [T]). *)
 

@@ -38,7 +38,6 @@ type config = {
   max_backoff_ms : int;
   probe_interval_ms : int;
   probe_timeout_ms : int;
-  probe_failures : int;
   serve : Server.config;
 }
 
@@ -48,12 +47,13 @@ let default_config serve =
     max_backoff_ms = 5_000;
     probe_interval_ms = 1_000;
     probe_timeout_ms = 1_000;
-    probe_failures = 3;
     serve }
 
-(* The flap breaker parks a worker after [restart_limit] crashes inside
+(* A worker is killed after [probe_failures] consecutive missed probes;
+   the flap breaker parks a worker after [restart_limit] crashes inside
    [flap_window_ms]; respawn backoff grows by [backoff_factor]; a drain
    waits [drain_grace_ms] before escalating to signals. *)
+let probe_failures = 3
 let restart_limit = 5
 let flap_window_ms = 30_000.
 let backoff_factor = 2.0
@@ -312,7 +312,7 @@ let probes t now =
             | _ -> ())
           | Error e ->
             w.w_probe_fails <- w.w_probe_fails + 1;
-            if w.w_probe_fails >= t.cfg.probe_failures then begin
+            if w.w_probe_fails >= probe_failures then begin
               logf t "%s: %d probes failed (%s), killing" w.w_name w.w_probe_fails e;
               w.w_probe_fails <- 0;
               signal_worker w Sys.sigkill
@@ -320,7 +320,7 @@ let probes t now =
       t.ws;
     if
       t.cfg.serve.Server.snapshot <> None
-      && !lag >= t.cfg.serve.Server.journal_compact_every
+      && !lag >= Server.journal_compact_every
     then begin
       let folded = compact t ~why:"compaction" in
       logf t "compacted %d journal records into the snapshot" folded

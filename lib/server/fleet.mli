@@ -12,8 +12,8 @@
     Supervision policy (the process-level mirror of
     {!Fq_core.Supervisor}):
     - {b liveness}: [waitpid WNOHANG] each tick, plus a [health] probe
-      over the wire every [probe_interval_ms] — [probe_failures]
-      consecutive misses get the worker killed and restarted;
+      over the wire every [probe_interval_ms] — 3 consecutive misses
+      get the worker killed and restarted;
     - {b restart}: exponential backoff from [base_backoff_ms], doubling
       up to [max_backoff_ms], reset after a healthy stretch;
     - {b flap breaker}: 5 crashes inside 30s park the worker — no
@@ -55,7 +55,6 @@ type config = {
   max_backoff_ms : int;
   probe_interval_ms : int;  (** wire health-probe period *)
   probe_timeout_ms : int;  (** per-probe connect/read budget *)
-  probe_failures : int;  (** consecutive misses before the worker is killed *)
   serve : Server.config;
       (** template for workers: [addr] is the base address, [journal]
           (or [snapshot ^ ".journal"]) the per-worker journal base path,

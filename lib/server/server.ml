@@ -88,12 +88,8 @@ type config = {
   state_file : string option;
   worker_id : string option;
   max_line_bytes : int;
-  journal_compact_every : int;
-  brownout_queue : int;
-  brownout_fuel_divisor : int;
   watchdog_grace_ms : int;
   trace_sample : int;
-  trace_ring : int;
   slow_ms : float option;
   slow_log : string option;
   metrics_file : string option;
@@ -117,12 +113,8 @@ let default_config ~state addr =
     state_file = None;
     worker_id = None;
     max_line_bytes = 1 lsl 20;
-    journal_compact_every = 512;
-    brownout_queue = 32;
-    brownout_fuel_divisor = 4;
     watchdog_grace_ms = 1000;
     trace_sample = 0;
-    trace_ring = 64;
     slow_ms = None;
     slow_log = None;
     metrics_file = None;
@@ -130,6 +122,14 @@ let default_config ~state addr =
     default_domain = "presburger";
     state;
     log = (fun line -> Printf.eprintf "%s\n%!" line) }
+
+(* Fixed serving constants: appends between journal compactions, the
+   queue depth that browns admissions out and their fuel shrink factor,
+   and how many sampled traces the ring keeps. *)
+let journal_compact_every = 512
+let brownout_queue = 32
+let brownout_fuel_divisor = 4
+let trace_ring_size = 64
 
 let logf cfg fmt = Printf.ksprintf cfg.log ("fq serve: " ^^ fmt)
 
@@ -456,7 +456,7 @@ let journal_record srv key value =
     | Ok () ->
       let n = Atomic.fetch_and_add srv.japps 1 + 1 in
       if
-        n >= srv.cfg.journal_compact_every
+        n >= journal_compact_every
         && srv.cfg.snapshot <> None
         && not srv.cfg.snapshot_read_only
       then Atomic.set srv.needs_compact true
@@ -497,7 +497,7 @@ let eval_outcome srv ep ~domain_name ~domain ~fuel ~timeout_ms ~resume ~cancel ~
     let guarded = Decide_cache.guarded srv.cache ~breaker ~name:domain_name domain in
     let fuel = min (max 1 (Option.value fuel ~default:srv.cfg.default_fuel)) srv.cfg.max_fuel in
     let fuel =
-      if brownout then max 1 (fuel / max 1 srv.cfg.brownout_fuel_divisor) else fuel
+      if brownout then max 1 (fuel / brownout_fuel_divisor) else fuel
     in
     let timeout_ms =
       match timeout_ms with Some _ as t -> t | None -> srv.cfg.default_timeout_ms
@@ -553,7 +553,7 @@ let rollup_json rus =
 let push_trace srv entry =
   Mutex.lock srv.tlock;
   Fun.protect ~finally:(fun () -> Mutex.unlock srv.tlock) @@ fun () ->
-  srv.trace_ring <- entry :: List.filteri (fun i _ -> i < srv.cfg.trace_ring - 1) srv.trace_ring
+  srv.trace_ring <- entry :: List.filteri (fun i _ -> i < trace_ring_size - 1) srv.trace_ring
 
 (* Estimated-vs-observed output cardinality per plan node: the
    optimizer's estimate against what the telemetry recording actually
@@ -832,7 +832,7 @@ let health_fields srv =
   [ ("epoch", Json.Int epoch);
     ("queue_depth", Json.Int depth);
     ("inflight", Json.Int inflight);
-    ("brownout", Json.Bool (depth >= srv.cfg.brownout_queue));
+    ("brownout", Json.Bool (depth >= brownout_queue));
     ("est_wait_ms", Json.Int (int_of_float est_wait));
     ("breakers", Json.Obj breakers);
     ("journal_records", Json.Int (Atomic.get srv.japps));
@@ -961,7 +961,7 @@ let admit srv conn req =
               { j_req = req;
                 j_conn = conn;
                 j_epoch = srv.current;
-                j_brownout = Queue.length srv.queue >= srv.cfg.brownout_queue;
+                j_brownout = Queue.length srv.queue >= brownout_queue;
                 j_cancel = Atomic.make false;
                 j_admitted = now_ms ();
                 j_done = false }

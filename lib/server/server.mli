@@ -14,9 +14,9 @@
       (depth x EMA latency / workers) already exceeds its own deadline is
       rejected at admission with an honest retry hint, instead of being
       admitted only to blow its budget waiting;
-    - {b brownout} — under sustained queue pressure ([brownout_queue]
-      admitted jobs waiting) new admissions run with their fuel divided
-      by [brownout_fuel_divisor]: degraded answers beat a collapse;
+    - {b brownout} — under sustained queue pressure (32 admitted jobs
+      waiting) new admissions run with a quarter of their fuel: degraded
+      answers beat a collapse;
     - {b per-request budgets} — each eval runs under its own
       [Budget.make] governor, fuel capped by [max_fuel], so one hostile
       query cannot starve the pool;
@@ -37,7 +37,7 @@
       recovery replays the snapshot plus the journal's surviving records,
       truncating torn tails and skipping corrupt records instead of
       failing boot.  The accept loop compacts the journal into the
-      snapshot every [journal_compact_every] appends;
+      snapshot every {!journal_compact_every} appends;
     - {b hot reload} — a [reload] request or SIGHUP re-reads a state file
       ({!Fq_db.Codec.load_state}) and swaps the served database behind an
       epoch pointer: requests admitted before the swap finish on the old
@@ -53,7 +53,7 @@
       {!Fq_core.Aggregate} histograms, served as a versioned Prometheus
       text exposition by [metrics] requests and dumped atomically to
       [metrics_file]; 1-in-[trace_sample] completed evals keep their
-      span tree in a bounded ring served by [traces]; requests over
+      span tree in a ring of the last 64 served by [traces]; requests over
       [slow_ms] (or browned-out / watchdog-cancelled) append their
       trace, plan and estimates-vs-observed to the [slow_log] JSONL; a
       [health] op answers queue depth / breaker states / epoch inline,
@@ -96,16 +96,12 @@ type config = {
           reply (and the [fleet-status] answer); [None] for a lone
           server *)
   max_line_bytes : int;  (** NDJSON reader line-length bound *)
-  journal_compact_every : int;  (** appends between journal compactions *)
-  brownout_queue : int;  (** queue depth that triggers brownout fuel *)
-  brownout_fuel_divisor : int;  (** fuel shrink factor under brownout *)
   watchdog_grace_ms : int;
       (** extra time past a request's deadline before the watchdog
           force-answers it and recycles the worker seat *)
   trace_sample : int;
       (** head-based trace sampling: record 1 in [trace_sample] eval
           requests into the trace ring ([0] = off) *)
-  trace_ring : int;  (** completed sampled traces retained for [traces] *)
   slow_ms : float option;
       (** latency threshold for the slow-query log; brownout and
           watchdog-cancelled requests are logged regardless *)
@@ -124,12 +120,15 @@ val default_config : state:Fq_db.State.t -> addr -> config
 (** [jobs = 4], [max_inflight = 256], [client_share = 64],
     [default_fuel = 10_000], [max_fuel = 1_000_000], no timeout, no
     snapshot/journal/state file, [max_line_bytes = 1 MiB],
-    [journal_compact_every = 512], [brownout_queue = 32],
-    [brownout_fuel_divisor = 4], [watchdog_grace_ms = 1000], tracing off
-    ([trace_sample = 0], [trace_ring = 64]), no slow-query log, no
+    [watchdog_grace_ms = 1000], tracing off ([trace_sample = 0]), no
+    slow-query log, no
     metrics file, no extra domains, default domain ["presburger"],
     [Stats.of_state state], writable snapshot, no worker id, logging to
     [stderr]. *)
+
+val journal_compact_every : int
+(** [512]: journal appends between compactions into the snapshot (a
+    lone server's accept loop; a fleet parent's summed worker lag). *)
 
 val journal_path : config -> string option
 (** [journal], else [snapshot ^ ".journal"] when a snapshot is set. *)

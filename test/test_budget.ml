@@ -18,6 +18,7 @@ module State = Fq_db.State
 module Schema = Fq_db.Schema
 module Enumerate = Fq_eval.Enumerate
 module Query = Fq_eval.Query
+module Outcome = Fq_eval.Outcome
 
 let parse = Fq_logic.Parser.formula_exn
 
@@ -49,11 +50,10 @@ let test_charge () =
   Budget.charge b 10;
   (match Budget.charge b 1 with
   | () -> Alcotest.fail "charge beyond the fuel limit did not trip"
-  | exception Budget.Exhausted Budget.Fuel_exhausted -> ());
-  Alcotest.(check bool) "exhausted after the trip" true (Budget.exhausted b)
+  | exception Budget.Exhausted Budget.Fuel_exhausted -> ())
 
 let test_deadline () =
-  let b = Budget.with_deadline ~timeout_ms:0 in
+  let b = Budget.make ~timeout_ms:0 () in
   let r =
     Budget.guard b (fun () ->
         (* the wall clock is polled every 256 ticks *)
@@ -62,15 +62,6 @@ let test_deadline () =
         done)
   in
   Alcotest.(check (result unit failure)) "deadline trips" (Error Budget.Deadline_exceeded) r
-
-let test_oversize () =
-  let b = Budget.make ~max_result:3 () in
-  Budget.ensure_size b 3;
-  match Budget.ensure_size b 4 with
-  | () -> Alcotest.fail "oversize did not trip"
-  | exception Budget.Exhausted (Budget.Oversize 3) -> ()
-  | exception Budget.Exhausted f ->
-    Alcotest.failf "wrong failure: %s" (Budget.error_string f)
 
 let test_cancel () =
   let polled = ref 0 in
@@ -90,12 +81,11 @@ let test_cancel () =
   Alcotest.(check (result unit failure)) "cancellation trips" (Error Budget.Cancelled) r
 
 let test_unlimited () =
-  let b = Budget.unlimited () in
+  let b = Budget.make () in
   for _ = 1 to 100_000 do
     Budget.tick b
   done;
-  Alcotest.(check int) "ticks still counted" 100_000 (Budget.spent b);
-  Alcotest.(check bool) "never exhausted" false (Budget.exhausted b)
+  Alcotest.(check int) "ticks still counted" 100_000 (Budget.spent b)
 
 let test_error_string_roundtrip () =
   List.iter
@@ -128,13 +118,13 @@ let test_ambient_scoping () =
   in
   Alcotest.(check (result unit failure)) "outer fine" (Ok ()) r;
   Alcotest.(check bool) "slot cleared" true (Budget.ambient () = None);
-  (* a ~share:false budget is never installed: legacy fuel accounting *)
-  let legacy = Budget.of_fuel ~share:false 10 in
+  (* a ~share:false budget is never installed: only its owner spends it *)
+  let unshared = Budget.of_fuel ~share:false 10 in
   let r =
-    Budget.guard legacy (fun () ->
-        Alcotest.(check bool) "legacy budget not ambient" true (Budget.ambient () = None))
+    Budget.guard unshared (fun () ->
+        Alcotest.(check bool) "unshared budget not ambient" true (Budget.ambient () = None))
   in
-  Alcotest.(check (result unit failure)) "legacy guard fine" (Ok ()) r
+  Alcotest.(check (result unit failure)) "unshared guard fine" (Ok ()) r
 
 (* Threads of one domain share [Domain.DLS], yet each must see only the
    budget, collector and fault plan it installed itself: [fq serve] runs
@@ -243,15 +233,15 @@ let test_unsafe_always_partial () =
     (fun (domain, fuel) ->
       let budget = Budget.make ~fuel () in
       let report = Query.eval_resilient ~budget ~domain ~state:nat_state f in
-      match report.Query.verdict with
-      | Query.Partial { reason = (Budget.Fuel_exhausted | Budget.Oversize _); _ } ->
+      match report.Outcome.verdict with
+      | Outcome.Partial { reason = (Budget.Fuel_exhausted | Budget.Oversize _); _ } ->
         (* small budgets run out of fuel; larger ones hit the certification
            cap — either way the scan stops with a structured partial *)
         ()
-      | Query.Partial { reason; _ } ->
+      | Outcome.Partial { reason; _ } ->
         Alcotest.failf "unexpected trip: %s" (Budget.error_string reason)
-      | Query.Complete _ -> Alcotest.fail "an infinite answer cannot be complete"
-      | Query.Failed { reason } -> Alcotest.failf "hard failure: %s" reason)
+      | Outcome.Complete _ -> Alcotest.fail "an infinite answer cannot be complete"
+      | Outcome.Failed { reason } -> Alcotest.failf "hard failure: %s" reason)
     [ (nat_order, 5); (nat_order, 500); (presburger, 5); (presburger, 500) ]
 
 let test_unsafe_deadline () =
@@ -260,9 +250,9 @@ let test_unsafe_deadline () =
   let report =
     Query.eval_resilient ~budget ~max_certified:1_000_000 ~domain:presburger ~state:nat_state f
   in
-  match report.Query.verdict with
-  | Query.Partial { reason = Budget.Deadline_exceeded; _ } -> ()
-  | Query.Partial { reason; _ } ->
+  match report.Outcome.verdict with
+  | Outcome.Partial { reason = Budget.Deadline_exceeded; _ } -> ()
+  | Outcome.Partial { reason; _ } ->
     Alcotest.failf "expected a deadline trip, got %s" (Budget.error_string reason)
   | _ -> Alcotest.fail "expected Partial under an expired deadline"
 
@@ -284,28 +274,34 @@ let test_guarded_matches_unguarded_decide () =
 
 let test_guarded_matches_unguarded_eval () =
   let f = parse "exists y z. y != z /\\ F(x, y) /\\ F(x, z)" in
-  let legacy =
-    match Fq_eval.Enumerate.run ~domain:eq_domain ~state:family_state f with
-    | Ok (Enumerate.Finite r) -> r
-    | Ok (Enumerate.Out_of_fuel _) -> Alcotest.fail "legacy run should complete"
+  let unshared =
+    match
+      Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 10_000) ~domain:eq_domain
+        ~state:family_state f
+    with
+    | Ok (Enumerate.Complete r) -> r
+    | Ok (Enumerate.Partial _) -> Alcotest.fail "unshared run should complete"
     | Error e -> Alcotest.fail e
   in
   let budgeted =
     let budget = Budget.make ~fuel:100_000 ~timeout_ms:60_000 () in
     match Query.eval_resilient ~budget ~domain:eq_domain ~state:family_state f with
-    | { Query.verdict = Query.Complete { answer; _ }; _ } -> answer
-    | { Query.verdict = Query.Partial _; _ } -> Alcotest.fail "budgeted run should complete"
-    | { Query.verdict = Query.Failed { reason }; _ } -> Alcotest.fail reason
+    | { Outcome.verdict = Outcome.Complete { answer; _ }; _ } -> answer
+    | { Outcome.verdict = Outcome.Partial _; _ } -> Alcotest.fail "budgeted run should complete"
+    | { Outcome.verdict = Outcome.Failed { reason }; _ } -> Alcotest.fail reason
   in
-  Alcotest.check rel "same answer with and without the governor" legacy budgeted
+  Alcotest.check rel "same answer with and without the governor" unshared budgeted
 
-let test_enumeration_guarded_matches_legacy () =
+let test_enumeration_shared_matches_unshared () =
   (* not safe-range, answer finite: x < y bounded by R's members {1} *)
   let f = parse "exists y. R(y) /\\ x < y" in
-  let legacy =
-    match Enumerate.run ~domain:nat_order ~state:nat_state f with
-    | Ok (Enumerate.Finite r) -> r
-    | Ok (Enumerate.Out_of_fuel _) -> Alcotest.fail "legacy enumeration should complete"
+  let unshared =
+    match
+      Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 10_000) ~domain:nat_order
+        ~state:nat_state f
+    with
+    | Ok (Enumerate.Complete r) -> r
+    | Ok (Enumerate.Partial _) -> Alcotest.fail "unshared enumeration should complete"
     | Error e -> Alcotest.fail e
   in
   let budgeted =
@@ -317,7 +313,7 @@ let test_enumeration_guarded_matches_legacy () =
     | Ok (Enumerate.Partial _) -> Alcotest.fail "budgeted enumeration should complete"
     | Error e -> Alcotest.fail e
   in
-  Alcotest.check rel "same certified answer" legacy budgeted
+  Alcotest.check rel "same certified answer" unshared budgeted
 
 (* -------------------------- degradation chain ----------------------- *)
 
@@ -325,7 +321,7 @@ let test_tiers () =
   (* safe-range: answered by the RANF compiler, no enumeration *)
   let f = parse "exists y. F(x, y)" in
   (match Query.eval_resilient ~domain:eq_domain ~state:family_state f with
-  | { Query.verdict = Query.Complete { tier; _ }; attempts; _ } ->
+  | { Outcome.verdict = Outcome.Complete { tier; _ }; attempts; _ } ->
     Alcotest.(check string) "compiled tier answers" "ranf-algebra" tier;
     Alcotest.(check int) "no earlier attempts" 0 (List.length attempts)
   | _ -> Alcotest.fail "safe-range query should complete");
@@ -334,7 +330,7 @@ let test_tiers () =
   match
     Query.eval_resilient ~budget:(Budget.make ~fuel:10 ()) ~domain:nat_order ~state:nat_state g
   with
-  | { Query.verdict = Query.Partial _; attempts = [ (tier, why) ]; _ } ->
+  | { Outcome.verdict = Outcome.Partial _; attempts = [ (tier, why) ]; _ } ->
     Alcotest.(check string) "ranf tier was skipped" "ranf-algebra" tier;
     Alcotest.(check bool) "reason mentions safe-range" true
       (String.length why >= 14 && String.sub why 0 14 = "not safe-range")
@@ -349,8 +345,11 @@ let test_resume_token () =
      scan. *)
   let f = parse "F(\"adam\", x)" in
   let expected =
-    match Enumerate.run ~domain:eq_domain ~state:family_state f with
-    | Ok (Enumerate.Finite r) -> r
+    match
+      Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 10_000) ~domain:eq_domain
+        ~state:family_state f
+    with
+    | Ok (Enumerate.Complete r) -> r
     | _ -> Alcotest.fail "one-shot run should complete"
   in
   (* drip-feed the scan one candidate at a time, carrying the token *)
@@ -384,12 +383,12 @@ let test_resume_via_query () =
       let report =
         Query.eval_resilient ~budget ~cache ?resume ~domain:eq_domain ~state:family_state f
       in
-      match report.Query.verdict with
-      | Query.Complete { answer; _ } -> answer
-      | Query.Partial { resume = token; _ } -> go (Some token) (rounds + 1)
-      | Query.Failed { reason } -> Alcotest.fail reason
+      match report.Outcome.verdict with
+      | Outcome.Complete { answer; _ } -> answer
+      | Outcome.Partial { resume = token; _ } -> go (Some token) (rounds + 1)
+      | Outcome.Failed { reason } -> Alcotest.fail reason
   in
-  let seed = Some { Query.seen = 0; found = Relation.empty ~arity:1 } in
+  let seed = Some { Outcome.seen = 0; found = Relation.empty ~arity:1 } in
   let answer = go seed 0 in
   Alcotest.check rel "resumable front-end converges"
     (Relation.make ~arity:1 [ [ Value.str "adam" ] ])
@@ -403,8 +402,11 @@ let test_resume_after_injected_deadline () =
   let module Fault = Fq_core.Fault in
   let f = parse "F(\"adam\", x)" in
   let expected =
-    match Enumerate.run ~domain:eq_domain ~state:family_state f with
-    | Ok (Enumerate.Finite r) -> r
+    match
+      Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 10_000) ~domain:eq_domain
+        ~state:family_state f
+    with
+    | Ok (Enumerate.Complete r) -> r
     | _ -> Alcotest.fail "clean run should complete"
   in
   let plan =
@@ -436,9 +438,9 @@ let test_resume_after_injected_deadline () =
 
 let tuples_of verdict =
   match verdict with
-  | Query.Complete { answer; _ } -> answer
-  | Query.Partial { tuples; _ } -> tuples
-  | Query.Failed { reason } -> Alcotest.fail reason
+  | Outcome.Complete { answer; _ } -> answer
+  | Outcome.Partial { tuples; _ } -> tuples
+  | Outcome.Failed { reason } -> Alcotest.fail reason
 
 let prop_monotone =
   QCheck.Test.make ~name:"larger budget never returns fewer tuples" ~count:40
@@ -447,7 +449,8 @@ let prop_monotone =
       let f = parse "~R(x)" in
       let answer fuel =
         let budget = Budget.make ~fuel () in
-        tuples_of (Query.eval_resilient ~budget ~domain:presburger ~state:nat_state f).Query.verdict
+        let rep = Query.eval_resilient ~budget ~domain:presburger ~state:nat_state f in
+        tuples_of rep.Outcome.verdict
       in
       let small = answer fuel and big = answer (fuel + extra) in
       List.for_all (fun t -> Relation.mem t big) (Relation.tuples small))
@@ -506,7 +509,6 @@ let () =
         [ Alcotest.test_case "fuel" `Quick test_fuel;
           Alcotest.test_case "charge" `Quick test_charge;
           Alcotest.test_case "deadline" `Quick test_deadline;
-          Alcotest.test_case "oversize" `Quick test_oversize;
           Alcotest.test_case "cancel" `Quick test_cancel;
           Alcotest.test_case "unlimited" `Quick test_unlimited;
           Alcotest.test_case "error-string round trip" `Quick test_error_string_roundtrip;
@@ -519,7 +521,7 @@ let () =
       ( "guarded = unguarded",
         [ Alcotest.test_case "decision procedures" `Quick test_guarded_matches_unguarded_decide;
           Alcotest.test_case "compiled evaluation" `Quick test_guarded_matches_unguarded_eval;
-          Alcotest.test_case "enumeration" `Quick test_enumeration_guarded_matches_legacy ] );
+          Alcotest.test_case "enumeration" `Quick test_enumeration_shared_matches_unshared ] );
       ( "degradation chain",
         [ Alcotest.test_case "tier reporting" `Quick test_tiers;
           Alcotest.test_case "resume token (enumerate)" `Quick test_resume_token;

@@ -323,7 +323,7 @@ let prop_fuel_verdict_exact =
     (fun ((plan, state), fuel) ->
       let expected, cost = oracle ~state plan in
       let budget = Budget.make ~fuel () in
-      match Budget.guard budget (fun () -> Relalg.eval ~state ~budget plan) with
+      match Budget.guard budget (fun () -> Relalg.eval ~state plan) with
       | Ok r -> cost <= fuel && Relation.equal r expected
       | Error Budget.Fuel_exhausted -> cost > fuel
       | Error _ -> false)

@@ -73,9 +73,12 @@ let test_tuple_enumeration () =
 (* ------------------------- the 1.1 algorithm ----------------------- *)
 
 let run_finite f =
-  match Enumerate.run ~fuel:30_000 ~domain:eq_domain ~state (parse f) with
-  | Ok (Enumerate.Finite r) -> r
-  | Ok (Enumerate.Out_of_fuel _) -> Alcotest.failf "%s: out of fuel" f
+  match
+    Enumerate.run_budgeted ~budget:(Fq_core.Budget.of_fuel ~share:false 30_000)
+      ~domain:eq_domain ~state (parse f)
+  with
+  | Ok (Enumerate.Complete r) -> r
+  | Ok (Enumerate.Partial _) -> Alcotest.failf "%s: out of fuel" f
   | Error e -> Alcotest.failf "%s: %s" f e
 
 let test_intro_queries () =
@@ -100,20 +103,26 @@ let test_empty_answer () =
 
 let test_unsafe_runs_out_of_fuel () =
   (* ¬F(x,y) has an infinite answer: the algorithm must not terminate
-     with a Finite verdict *)
-  match Enumerate.run ~fuel:300 ~domain:eq_domain ~state (parse "~F(x, y)") with
-  | Ok (Enumerate.Out_of_fuel partial) ->
+     with a Complete verdict *)
+  match
+    Enumerate.run_budgeted ~budget:(Fq_core.Budget.of_fuel ~share:false 300)
+      ~domain:eq_domain ~state (parse "~F(x, y)")
+  with
+  | Ok (Enumerate.Partial { tuples = partial; _ }) ->
     Alcotest.(check bool) "found some tuples" true (Relation.cardinal partial > 0)
-  | Ok (Enumerate.Finite _) -> Alcotest.fail "unsafe query reported finite"
+  | Ok (Enumerate.Complete _) -> Alcotest.fail "unsafe query reported finite"
   | Error e -> Alcotest.fail e
 
 let test_mixed_unsafe_union () =
   (* the intro's M(x) ∨ G(x,z): infinite because M(x) leaves z loose
      (adam has two sons) *)
   let f = "(exists y w. y != w /\\ F(x, y) /\\ F(x, w)) \\/ (exists y. F(x, y) /\\ F(y, z))" in
-  match Enumerate.run ~fuel:300 ~domain:eq_domain ~state (parse f) with
-  | Ok (Enumerate.Out_of_fuel _) -> ()
-  | Ok (Enumerate.Finite r) ->
+  match
+    Enumerate.run_budgeted ~budget:(Fq_core.Budget.of_fuel ~share:false 300)
+      ~domain:eq_domain ~state (parse f)
+  with
+  | Ok (Enumerate.Partial _) -> ()
+  | Ok (Enumerate.Complete r) ->
     Alcotest.failf "reported finite: %s" (Format.asprintf "%a" Relation.pp r)
   | Error e -> Alcotest.fail e
 
@@ -121,14 +130,20 @@ let test_decide_cache () =
   let module DC = Fq_domain.Decide_cache in
   let f = parse "exists y. F(x, y) /\\ F(y, z)" in
   let uncached =
-    match Enumerate.run ~domain:eq_domain ~state f with
-    | Ok (Enumerate.Finite r) -> r
+    match
+      Enumerate.run_budgeted ~budget:(Fq_core.Budget.of_fuel ~share:false 10_000)
+        ~domain:eq_domain ~state f
+    with
+    | Ok (Enumerate.Complete r) -> r
     | _ -> Alcotest.fail "uncached run not finite"
   in
   let cache = DC.create () in
   let cached_run () =
-    match Enumerate.run ~cache ~domain:eq_domain ~state f with
-    | Ok (Enumerate.Finite r) -> r
+    match
+      Enumerate.run_budgeted ~budget:(Fq_core.Budget.of_fuel ~share:false 10_000)
+        ~cache ~domain:eq_domain ~state f
+    with
+    | Ok (Enumerate.Complete r) -> r
     | _ -> Alcotest.fail "cached run not finite"
   in
   Alcotest.check rel "cached answer = uncached answer" uncached (cached_run ());
@@ -199,20 +214,26 @@ let nat_state =
 let test_nat_order_queries () =
   (* elements below some R element: finite *)
   let f = parse "exists y. R(y) /\\ x < y" in
-  (match Enumerate.run ~fuel:1_000 ~domain:nat ~state:nat_state f with
-  | Ok (Enumerate.Finite r) ->
+  (match
+    Enumerate.run_budgeted ~budget:(Fq_core.Budget.of_fuel ~share:false 1_000)
+      ~domain:nat ~state:nat_state f
+   with
+  | Ok (Enumerate.Complete r) ->
     Alcotest.(check int) "x < 5: five values" 5 (Relation.cardinal r)
-  | Ok (Enumerate.Out_of_fuel _) -> Alcotest.fail "out of fuel"
+  | Ok (Enumerate.Partial _) -> Alcotest.fail "out of fuel"
   | Error e -> Alcotest.fail e);
   (* Fact 2.1's query: the least element above every active-domain
      element — finite (a single value) yet not domain-independent *)
   let lub =
     parse "(forall y. R(y) -> y < x) /\\ (forall z. (forall y. R(y) -> y < z) -> x <= z)"
   in
-  match Enumerate.run ~fuel:1_000 ~domain:nat ~state:nat_state lub with
-  | Ok (Enumerate.Finite r) ->
+  match
+    Enumerate.run_budgeted ~budget:(Fq_core.Budget.of_fuel ~share:false 1_000)
+      ~domain:nat ~state:nat_state lub
+  with
+  | Ok (Enumerate.Complete r) ->
     Alcotest.check rel "successor of the max" (Relation.make ~arity:1 [ [ v 6 ] ]) r
-  | Ok (Enumerate.Out_of_fuel _) -> Alcotest.fail "out of fuel"
+  | Ok (Enumerate.Partial _) -> Alcotest.fail "out of fuel"
   | Error e -> Alcotest.fail e
 
 let () =

@@ -15,6 +15,7 @@ module State = Fq_db.State
 module Schema = Fq_db.Schema
 module Decide_cache = Fq_domain.Decide_cache
 module Query = Fq_eval.Query
+module Outcome = Fq_eval.Outcome
 
 let parse = Fq_logic.Parser.formula_exn
 
@@ -390,10 +391,10 @@ let clean_answers =
     (List.map
        (fun (domain, state, f) ->
          let budget = Budget.make ~fuel:1_000_000 () in
-         match (Query.eval_resilient ~budget ~domain ~state f).Query.verdict with
-         | Query.Complete { answer; _ } -> answer
-         | Query.Partial _ -> Alcotest.fail "chaos scenario has no clean complete answer"
-         | Query.Failed { reason } -> Alcotest.fail reason)
+         match (Query.eval_resilient ~budget ~domain ~state f).Outcome.verdict with
+         | Outcome.Complete { answer; _ } -> answer
+         | Outcome.Partial _ -> Alcotest.fail "chaos scenario has no clean complete answer"
+         | Outcome.Failed { reason } -> Alcotest.fail reason)
        scenarios)
 
 let total_fuel = 30_000
@@ -413,16 +414,16 @@ let chaos_run ~plan ~cache ~domain ~state f =
       Fault.with_plan plan (fun () ->
           Query.eval_resilient ~budget ~cache ?resume:!resume ~domain ~state f)
     in
-    spent := !spent + rep.Query.usage.Budget.ticks;
-    (match rep.Query.verdict with
-    | Query.Partial { resume = r; _ } -> resume := Some r
+    spent := !spent + rep.Outcome.usage.Budget.ticks;
+    (match rep.Outcome.verdict with
+    | Outcome.Partial { resume = r; _ } -> resume := Some r
     | _ -> ());
     rep
   in
   Supervisor.supervise ~policy:no_sleep
     ~retry_value:(fun rep ->
-      match rep.Query.verdict with
-      | Query.Partial { reason = Budget.Fuel_exhausted | Budget.Deadline_exceeded; _ } ->
+      match rep.Outcome.verdict with
+      | Outcome.Partial { reason = Budget.Fuel_exhausted | Budget.Deadline_exceeded; _ } ->
         Some "partial under budget"
       | _ -> None)
     ~name:"chaos" attempt
@@ -447,22 +448,22 @@ let prop_chaos_containment =
       let run = chaos_run ~plan ~cache ~domain ~state f in
       let contained =
         match run.Supervisor.outcome with
-        | Supervisor.Value { Query.verdict = Query.Complete { answer; _ }; _ } ->
+        | Supervisor.Value { Outcome.verdict = Outcome.Complete { answer; _ }; _ } ->
           (* injections only ever raise — they can never flip a verdict,
              so a faulted Complete must be the clean answer *)
           Relation.equal answer clean
-        | Supervisor.Value { Query.verdict = Query.Partial { tuples; resume; _ }; _ } ->
+        | Supervisor.Value { Outcome.verdict = Outcome.Partial { tuples; resume; _ }; _ } ->
           (* a partial is a correct prefix, and its token must finish the
              job once the faults stop *)
           subset tuples clean
           &&
           let budget = Budget.make ~fuel:1_000_000 () in
           (match
-             (Query.eval_resilient ~budget ~cache ~resume ~domain ~state f).Query.verdict
+             (Query.eval_resilient ~budget ~cache ~resume ~domain ~state f).Outcome.verdict
            with
-          | Query.Complete { answer; _ } -> Relation.equal answer clean
+          | Outcome.Complete { answer; _ } -> Relation.equal answer clean
           | _ -> false)
-        | Supervisor.Value { Query.verdict = Query.Failed { reason }; _ } ->
+        | Supervisor.Value { Outcome.verdict = Outcome.Failed { reason }; _ } ->
           QCheck.Test.fail_reportf "faulted run degenerated to Failed: %s" reason
         | Supervisor.Crashed { reason; _ } ->
           (* only the injector crashes these scenarios, and the supervisor
@@ -473,8 +474,8 @@ let prop_chaos_containment =
          clean run over the same cache still gets the clean answer *)
       let budget = Budget.make ~fuel:1_000_000 () in
       let after =
-        match (Query.eval_resilient ~budget ~cache ~domain ~state f).Query.verdict with
-        | Query.Complete { answer; _ } -> Relation.equal answer clean
+        match (Query.eval_resilient ~budget ~cache ~domain ~state f).Outcome.verdict with
+        | Outcome.Complete { answer; _ } -> Relation.equal answer clean
         | _ -> false
       in
       contained && after)

@@ -155,10 +155,11 @@ let prop_three_evaluators_agree =
         if Relation.cardinal adom > 8 then true
         else
           match
-            Fq_eval.Enumerate.run ~fuel:8_000 ~max_certified:10 ~domain:eq_domain ~state:st f
+            Fq_eval.Enumerate.run_budgeted ~budget:(Fq_core.Budget.of_fuel ~share:false 8_000)
+              ~max_certified:10 ~domain:eq_domain ~state:st f
           with
-          | Ok (Fq_eval.Enumerate.Finite r) -> Relation.equal adom r
-          | Ok (Fq_eval.Enumerate.Out_of_fuel _) ->
+          | Ok (Fq_eval.Enumerate.Complete r) -> Relation.equal adom r
+          | Ok (Fq_eval.Enumerate.Partial _) ->
             QCheck.Test.fail_reportf "enumeration out of fuel"
           | Error e -> QCheck.Test.fail_reportf "enumerate: %s" e
       in
@@ -172,15 +173,16 @@ let prop_plan_agrees_with_eval =
   QCheck.Test.make ~name:"Query.plan names the tier and plan eval_resilient answers with"
     ~count:120 arb_sr_case (fun (f, st) ->
       let module Q = Fq_eval.Query in
+      let module O = Fq_eval.Outcome in
       let rep =
         Q.eval_resilient ~budget:(Fq_core.Budget.of_fuel 2_000) ~max_certified:10
           ~domain:eq_domain ~state:st f
       in
-      match rep.Q.verdict with
-      | Q.Partial _ | Q.Failed _ -> true
-      | Q.Complete { answer; tier } -> (
+      match rep.O.verdict with
+      | O.Partial _ | O.Failed _ -> true
+      | O.Complete { answer; tier } -> (
         let p = Q.plan ~domain:eq_domain ~state:st f in
-        if p.Q.tier <> tier || p.Q.passed <> rep.Q.attempts then
+        if p.Q.tier <> tier || p.Q.passed <> rep.O.attempts then
           QCheck.Test.fail_reportf "planned %s, answered by %s" p.Q.tier tier;
         match p.Q.compiled with
         | None -> tier = Q.scan_tier
@@ -341,9 +343,12 @@ let prop_finitization_equivalence =
         | Error e -> QCheck.Test.fail_reportf "criterion: %s" e
       in
       (* ... and cross-check with bounded enumeration *)
-      match Fq_eval.Enumerate.run ~fuel:400 ~max_certified:25 ~domain:presburger ~state:st f with
-      | Ok (Fq_eval.Enumerate.Finite _) -> by_criterion = true
-      | Ok (Fq_eval.Enumerate.Out_of_fuel _) ->
+      match
+        Fq_eval.Enumerate.run_budgeted ~budget:(Fq_core.Budget.of_fuel ~share:false 400)
+          ~max_certified:25 ~domain:presburger ~state:st f
+      with
+      | Ok (Fq_eval.Enumerate.Complete _) -> by_criterion = true
+      | Ok (Fq_eval.Enumerate.Partial _) ->
         (* could be a large finite answer; only the infinite direction is
            conclusive — accept *)
         true

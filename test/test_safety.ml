@@ -57,9 +57,12 @@ let test_safe_range_negative () =
 let algebra f = Algebra_translate.run ~domain:eq_domain ~state (parse f)
 
 let enum f =
-  match Fq_eval.Enumerate.run ~fuel:30_000 ~domain:eq_domain ~state (parse f) with
-  | Ok (Fq_eval.Enumerate.Finite r) -> r
-  | Ok (Fq_eval.Enumerate.Out_of_fuel _) -> Alcotest.failf "%s: out of fuel" f
+  match
+    Fq_eval.Enumerate.run_budgeted ~budget:(Fq_core.Budget.of_fuel ~share:false 30_000)
+      ~domain:eq_domain ~state (parse f)
+  with
+  | Ok (Fq_eval.Enumerate.Complete r) -> r
+  | Ok (Fq_eval.Enumerate.Partial _) -> Alcotest.failf "%s: out of fuel" f
   | Error e -> Alcotest.failf "%s: %s" f e
 
 let test_algebra_matches_enumeration () =
@@ -121,9 +124,12 @@ let test_finitize_preserves_finite () =
   let finite_q = parse "exists y. R(y) /\\ x < y" in
   let fin = Finitization.finitize finite_q in
   let run f =
-    match Fq_eval.Enumerate.run ~fuel:5_000 ~domain:presburger ~state:nat_state f with
-    | Ok (Fq_eval.Enumerate.Finite r) -> r
-    | Ok (Fq_eval.Enumerate.Out_of_fuel _) -> Alcotest.fail "out of fuel"
+    match
+      Fq_eval.Enumerate.run_budgeted ~budget:(Fq_core.Budget.of_fuel ~share:false 5_000)
+        ~domain:presburger ~state:nat_state f
+    with
+    | Ok (Fq_eval.Enumerate.Complete r) -> r
+    | Ok (Fq_eval.Enumerate.Partial _) -> Alcotest.fail "out of fuel"
     | Error e -> Alcotest.fail e
   in
   Alcotest.check rel "same answers" (run finite_q) (run fin)
@@ -198,9 +204,12 @@ let test_ext_active_restrict () =
   let g = parse "exists y. R(y) /\\ x = y'" in
   let gr = Ext_active.restrict ~schema:nat_schema_assoc g in
   let run f =
-    match Fq_eval.Enumerate.run ~fuel:5_000 ~domain:succ_domain ~state:nat_state f with
-    | Ok (Fq_eval.Enumerate.Finite r) -> r
-    | Ok (Fq_eval.Enumerate.Out_of_fuel _) -> Alcotest.fail "out of fuel"
+    match
+      Fq_eval.Enumerate.run_budgeted ~budget:(Fq_core.Budget.of_fuel ~share:false 5_000)
+        ~domain:succ_domain ~state:nat_state f
+    with
+    | Ok (Fq_eval.Enumerate.Complete r) -> r
+    | Ok (Fq_eval.Enumerate.Partial _) -> Alcotest.fail "out of fuel"
     | Error e -> Alcotest.fail e
   in
   Alcotest.check rel "same answers after restriction" (run g) (run gr)
@@ -383,27 +392,30 @@ let test_enumerate_total_via () =
 
 let test_halting_reduction () =
   (* halting side: finite answer, certified *)
-  (match Halting_reduction.check ~fuel:100 ~machine:scan ~input:"11" () with
+  let fuel n = Fq_core.Budget.of_fuel n in
+  (match Halting_reduction.check ~budget:(fuel 100) ~machine:scan ~input:"11" with
   | Ok (Halting_reduction.Halts { steps; answer }) ->
     Alcotest.(check int) "steps" 2 steps;
     Alcotest.(check int) "answer = steps+1 traces" 3 (Relation.cardinal answer)
   | Ok (Halting_reduction.Diverges_beyond _) -> Alcotest.fail "scan halts"
   | Error e -> Alcotest.fail e);
   (* diverging side: unboundedly many tuples *)
-  (match Halting_reduction.check ~fuel:500 ~machine:looper ~input:"1" () with
+  (match Halting_reduction.check ~budget:(fuel 500) ~machine:looper ~input:"1" with
   | Ok (Halting_reduction.Diverges_beyond { trace_count }) ->
     Alcotest.(check int) "count reaches the fuel bound" 500 trace_count
   | Ok (Halting_reduction.Halts _) -> Alcotest.fail "looper diverges"
   | Error e -> Alcotest.fail e);
   (* the parity machine: instance-sensitive *)
-  (match Halting_reduction.check ~fuel:100 ~machine:(Fq_tm.Encode.encode Fq_tm.Zoo.parity)
-           ~input:"11" ()
+  (match
+     Halting_reduction.check ~budget:(fuel 100)
+       ~machine:(Fq_tm.Encode.encode Fq_tm.Zoo.parity) ~input:"11"
    with
   | Ok (Halting_reduction.Halts { steps; _ }) -> Alcotest.(check int) "even halts" 2 steps
   | Ok (Halting_reduction.Diverges_beyond _) -> Alcotest.fail "even input halts"
   | Error e -> Alcotest.fail e);
-  match Halting_reduction.check ~fuel:100 ~machine:(Fq_tm.Encode.encode Fq_tm.Zoo.parity)
-          ~input:"111" ()
+  match
+    Halting_reduction.check ~budget:(fuel 100)
+      ~machine:(Fq_tm.Encode.encode Fq_tm.Zoo.parity) ~input:"111"
   with
   | Ok (Halting_reduction.Diverges_beyond _) -> ()
   | Ok (Halting_reduction.Halts _) -> Alcotest.fail "odd input diverges"
@@ -413,7 +425,8 @@ let test_bounded_infinite_verdict () =
   (* over a domain with a complete procedure, bounded recognizes the
      infinite case outright *)
   match
-    Relative_safety.bounded ~domain:presburger ~state:nat_state (parse "~R(x)")
+    Relative_safety.bounded ~budget:(Fq_core.Budget.of_fuel ~share:false 2_000)
+      ~domain:presburger ~state:nat_state (parse "~R(x)")
   with
   | Ok Relative_safety.Infinite -> ()
   | Ok _ -> Alcotest.fail "expected the Infinite verdict"
@@ -423,7 +436,10 @@ let test_bounded_relative_safety_traces () =
   (* the only tool Theorem 3.3 leaves us over T *)
   let domain : Fq_domain.Domain.t = (module Fq_domain.Traces) in
   let query, st = Halting_reduction.instance ~machine:scan ~input:"1" in
-  match Relative_safety.bounded ~fuel:3_000 ~domain ~state:st query with
+  match
+    Relative_safety.bounded ~budget:(Fq_core.Budget.of_fuel ~share:false 3_000) ~domain
+      ~state:st query
+  with
   | Ok (Relative_safety.Finite r) ->
     Alcotest.(check int) "two traces (scan halts on 1 in 1 step)" 2 (Relation.cardinal r)
   | Ok _ -> Alcotest.fail "expected certified finiteness"

@@ -10,6 +10,7 @@ module Telemetry = Fq_core.Telemetry
 module Formula = Fq_logic.Formula
 module Term = Fq_logic.Term
 module Query = Fq_eval.Query
+module Outcome = Fq_eval.Outcome
 module Enumerate = Fq_eval.Enumerate
 module Decide_cache = Fq_domain.Decide_cache
 
@@ -117,7 +118,7 @@ let test_attribution_sums () =
     Telemetry.record (fun () ->
         Query.eval_resilient ~budget ~domain:eq_domain ~state:family_state f)
   in
-  let usage = rep.Query.usage in
+  let usage = rep.Outcome.usage in
   Alcotest.(check bool) "the run ticked at all" true (usage.Budget.ticks > 0);
   Alcotest.(check int) "root span ticks = budget usage"
     usage.Budget.ticks (Telemetry.total_ticks r);
@@ -136,7 +137,7 @@ let test_attribution_enumerate_tier () =
   in
   ignore f;
   Alcotest.(check int) "root span ticks = budget usage"
-    rep.Query.usage.Budget.ticks (Telemetry.total_ticks r);
+    rep.Outcome.usage.Budget.ticks (Telemetry.total_ticks r);
   let names = List.map fst (Telemetry.attribution r) in
   Alcotest.(check bool) "enumeration shows up in the attribution" true
     (List.mem "enumerate.scan" names || List.mem "tier:enumerate" names)
@@ -147,7 +148,8 @@ let test_cache_counters_match_stats () =
   let cache = Decide_cache.create () in
   let f = parse "exists y. F(x, y) /\\ F(y, x)" in
   let run () =
-    Enumerate.run ~fuel:100_000 ~max_certified:16 ~cache ~domain:eq_domain
+    Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 100_000)
+      ~max_certified:16 ~cache ~domain:eq_domain
       ~state:family_state f
   in
   let _, r =
@@ -205,17 +207,17 @@ let arb_query = QCheck.make ~print:Formula.to_string gen_query
 
 let verdict_eq a b =
   match (a, b) with
-  | Query.Complete { answer = ra; tier = ta }, Query.Complete { answer = rb; tier = tb } ->
+  | Outcome.Complete { answer = ra; tier = ta }, Outcome.Complete { answer = rb; tier = tb } ->
     ta = tb && Relation.equal ra rb
-  | ( Query.Partial { tuples = ra; reason = fa; resume = sa },
-      Query.Partial { tuples = rb; reason = fb; resume = sb } ) ->
-    fa = fb && Relation.equal ra rb && sa.Query.seen = sb.Query.seen
-  | Query.Failed { reason = ra }, Query.Failed { reason = rb } -> ra = rb
+  | ( Outcome.Partial { tuples = ra; reason = fa; resume = sa },
+      Outcome.Partial { tuples = rb; reason = fb; resume = sb } ) ->
+    fa = fb && Relation.equal ra rb && sa.Outcome.seen = sb.Outcome.seen
+  | Outcome.Failed { reason = ra }, Outcome.Failed { reason = rb } -> ra = rb
   | _ -> false
 
 let eval_with_fuel f =
   let budget = Budget.make ~fuel:2_000 () in
-  (Query.eval_resilient ~budget ~domain:eq_domain ~state:family_state f).Query.verdict
+  (Query.eval_resilient ~budget ~domain:eq_domain ~state:family_state f).Outcome.verdict
 
 let prop_observation_is_pure =
   QCheck.Test.make ~name:"eval identical with telemetry off / noop / recording" ~count:150

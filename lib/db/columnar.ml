@@ -9,10 +9,13 @@
    [Value.compare], no string hashing per probe.
 
    Invariant: a batch's logical rows are always duplicate-free, exactly
-   like {!Relation}.  Every operator that could introduce duplicates
-   (projection, union) re-deduplicates before returning, so per-operator
-   output cardinalities — and hence budget charges and telemetry
-   histograms — are those of the relations the plan denotes. *)
+   like {!Relation}.  The operators that could introduce duplicates
+   (projection, union) pass their rows through [canon], the one dedup
+   and sort kernel, so per-operator output cardinalities — and hence
+   budget charges and telemetry histograms — are those of the relations
+   the plan denotes.  [canon] leaves its rows sorted, and so does every
+   order-preserving operator over sorted rows, so the final
+   {!to_relation} sorts only batches that never passed through it. *)
 
 module Dict = struct
   (* A dictionary is a (short) chain of layers: a shared frozen parent —
@@ -119,9 +122,10 @@ type t = {
   sel : int array option;  (* logical row [i] lives at physical [sel.(i)] *)
   sorted : bool;
       (* logical rows are in strictly increasing code-lexicographic
-         order.  Operators that preserve physical row order (filter,
-         dedup, probe-in-order joins of sorted inputs) propagate it, so
-         {!to_relation} can usually skip its sort: with a rank-ordered
+         order.  [canon] sets it, and operators that preserve physical
+         row order (filter, probe-in-order joins of sorted inputs)
+         propagate it, so {!to_relation} can usually skip its sort: with
+         a rank-ordered
          dictionary, code-lex order {e is} the canonical row order. *)
 }
 
@@ -156,14 +160,6 @@ let row_hash cols arity i =
     h := (!h * 0x01000193) lxor Array.unsafe_get (Array.unsafe_get cols c) i
   done;
   !h land max_int
-
-let rows_equal cols arity i j =
-  let rec go c =
-    c >= arity
-    || Array.unsafe_get (Array.unsafe_get cols c) i = Array.unsafe_get (Array.unsafe_get cols c) j
-       && go (c + 1)
-  in
-  go 0
 
 (* in-place monomorphic quicksort on int arrays: median-of-three pivot,
    insertion sort on small ranges, no closure calls in the inner loop *)
@@ -280,202 +276,101 @@ let table_size n =
   done;
   !s
 
-(* [fits_word d a]: d^a <= 2^61, i.e. a row of [a] codes below [d] packs
-   into one non-negative int; checked by repeated division, no overflow *)
-let fits_word d a =
-  a > 0
-  &&
-  let rec go cap k = k = 0 || (cap >= d && go (cap / d) (k - 1)) in
-  go (1 lsl 61) a
+(* bits that hold every code of [col]; 0 for an all-zero column *)
+let code_bits (col : int array) =
+  let m = ref 0 and w = ref 0 in
+  for i = 0 to Array.length col - 1 do
+    let c = Array.unsafe_get col i in
+    if c > !m then m := c
+  done;
+  while !m lsr !w > 0 do
+    incr w
+  done;
+  !w
 
-(* Fibonacci-style mix before masking: packed keys are highly regular,
-   the multiply spreads them across the table *)
-let mix_hash key =
-  let h = key * 0x2545F4914F6CDD1D in
-  h lxor (h lsr 31)
+(* code-lexicographic comparison of dense rows [i] and [j] *)
+let compare_rows cols a i j =
+  let rec go c =
+    if c >= a then 0
+    else
+      let x = Array.unsafe_get (Array.unsafe_get cols c) i in
+      let y = Array.unsafe_get (Array.unsafe_get cols c) j in
+      if x < y then -1 else if x > y then 1 else go (c + 1)
+  in
+  go 0
 
-(* Keep the first occurrence of each distinct row, preserving order.
-   When the rows pack into single words the table stores bare keys — one
-   int load per probe, no row comparisons; otherwise open-addressing
-   over row indices with exact verification.  No boxed buckets on
-   either path. *)
-let dedup b =
+(* [canon b]: the distinct rows of [b] in strictly increasing code order,
+   dense and flagged [sorted] — the one dedup and sort kernel, behind
+   projection, union and {!to_relation}.  When the rows fit one word at
+   a fixed bit width per column (the bits of the column's largest code)
+   each packs into one int, column 0 most significant; unless the keys
+   already ascend, {!sort_keys} sorts them; adjacent duplicates are
+   squeezed out and the survivors unpacked by shift and mask.  Wider
+   rows sort a row permutation by code comparison instead. *)
+let canon b =
   let b = dense b in
-  let n = b.nrows in
-  if n <= 1 then b
+  let n = b.nrows and a = b.arity and cols = b.cols in
+  if n <= 1 then { b with sorted = true }
   else begin
-    let a = b.arity in
-    let maxc = ref 0 in
-    for c = 0 to a - 1 do
-      let col = b.cols.(c) in
-      for i = 0 to n - 1 do
-        let v = Array.unsafe_get col i in
-        if v > !maxc then maxc := v
-      done
-    done;
-    let d = !maxc + 1 in
-    let mask = table_size n - 1 in
-    let keep = Array.make n 0 in
-    let k = ref 0 in
-    if fits_word d a then begin
-      let slots = Array.make (mask + 1) (-1) in
-      let insert i key =
-        let s = ref (mix_hash key land mask) in
-        let continue = ref true in
-        while !continue do
-          let q = Array.unsafe_get slots !s in
-          if q = -1 then begin
-            Array.unsafe_set slots !s key;
-            keep.(!k) <- i;
-            incr k;
-            continue := false
-          end
-          else if q = key then continue := false
-          else s := (!s + 1) land mask
-        done
-      in
-      (* the dominant shapes: hoist the columns out of the pack loop *)
-      if a = 1 then begin
-        let c0 = b.cols.(0) in
+    let widths = Array.map code_bits cols in
+    let bits = Array.fold_left ( + ) 0 widths in
+    if bits <= 61 then begin
+      let shifts = Array.make a 0 in
+      for c = a - 2 downto 0 do
+        shifts.(c) <- shifts.(c + 1) + widths.(c + 1)
+      done;
+      let keys = Array.make n 0 in
+      for c = 0 to a - 1 do
+        let col = cols.(c) and s = shifts.(c) in
         for i = 0 to n - 1 do
-          insert i (Array.unsafe_get c0 i)
+          Array.unsafe_set keys i (Array.unsafe_get keys i lor (Array.unsafe_get col i lsl s))
         done
+      done;
+      let ascending = ref true and i = ref 1 in
+      while !ascending && !i < n do
+        if Array.unsafe_get keys (!i - 1) > Array.unsafe_get keys !i then ascending := false;
+        incr i
+      done;
+      if not !ascending then sort_keys keys ~bound:(1 lsl bits);
+      let k = ref 1 in
+      for i = 1 to n - 1 do
+        let key = Array.unsafe_get keys i in
+        if key <> Array.unsafe_get keys (!k - 1) then begin
+          Array.unsafe_set keys !k key;
+          incr k
+        end
+      done;
+      let k = !k in
+      if k = n && !ascending then { b with sorted = true }
+      else begin
+        let cols =
+          Array.init a (fun c ->
+              let s = shifts.(c) and mask = (1 lsl widths.(c)) - 1 in
+              let out = Array.make k 0 in
+              for i = 0 to k - 1 do
+                Array.unsafe_set out i ((Array.unsafe_get keys i lsr s) land mask)
+              done;
+              out)
+        in
+        { arity = a; nrows = k; cols; sel = None; sorted = true }
       end
-      else if a = 2 then begin
-        let c0 = b.cols.(0) and c1 = b.cols.(1) in
-        for i = 0 to n - 1 do
-          insert i ((Array.unsafe_get c0 i * d) + Array.unsafe_get c1 i)
-        done
-      end
-      else
-        for i = 0 to n - 1 do
-          let key = ref 0 in
-          for c = 0 to a - 1 do
-            key := (!key * d) + Array.unsafe_get (Array.unsafe_get b.cols c) i
-          done;
-          insert i !key
-        done
     end
     else begin
-      let slots = Array.make (mask + 1) (-1) in
-      for i = 0 to n - 1 do
-        let s = ref (row_hash b.cols a i land mask) in
-        let continue = ref true in
-        while !continue do
-          let j = Array.unsafe_get slots !s in
-          if j = -1 then begin
-            Array.unsafe_set slots !s i;
-            keep.(!k) <- i;
-            incr k;
-            continue := false
-          end
-          else if rows_equal b.cols a i j then continue := false
-          else s := (!s + 1) land mask
-        done
-      done
-    end;
-    if !k = n then b else { b with nrows = !k; sel = Some (Array.sub keep 0 !k) }
-  end
-
-(* Dedup for rows already in non-decreasing lex order: duplicates are
-   adjacent, so a single sequential compare-with-predecessor pass
-   suffices — no table. *)
-let dedup_adjacent b =
-  let b = dense b in
-  let n = b.nrows in
-  if n <= 1 then b
-  else begin
-    let a = b.arity in
-    let keep = Array.make n 0 in
-    let k = ref 0 in
-    for i = 0 to n - 1 do
-      if i = 0 || not (rows_equal b.cols a i (i - 1)) then begin
-        keep.(!k) <- i;
-        incr k
-      end
-    done;
-    if !k = n then b else { b with nrows = !k; sel = Some (Array.sub keep 0 !k) }
-  end
-
-(* Dedup for rows grouped by a non-decreasing first column: each group
-   deduplicates through a small generation-stamped table keyed on the
-   remaining columns.  The table is sized by the largest group — cache
-   resident — where the global table's size tracks the whole (possibly
-   enormous) input.  First occurrences are kept in order, so the group
-   structure survives in the output. *)
-let dedup_grouped b =
-  let b = dense b in
-  let n = b.nrows in
-  let a = b.arity in
-  if n <= 1 || a < 2 then dedup b
-  else begin
-    let maxc = ref 0 in
-    for c = 1 to a - 1 do
-      let col = b.cols.(c) in
-      for i = 0 to n - 1 do
-        let v = Array.unsafe_get col i in
-        if v > !maxc then maxc := v
-      done
-    done;
-    let d = !maxc + 1 in
-    if not (fits_word d (a - 1)) then dedup b
-    else begin
-      let c0 = b.cols.(0) in
-      let maxg = ref 1 and run = ref 1 in
+      let order = Array.init n Fun.id and ascending = ref true in
       for i = 1 to n - 1 do
-        if Array.unsafe_get c0 i = Array.unsafe_get c0 (i - 1) then begin
-          incr run;
-          if !run > !maxg then maxg := !run
-        end
-        else run := 1
+        if !ascending && compare_rows cols a (i - 1) i > 0 then ascending := false
       done;
-      let mask = table_size !maxg - 1 in
-      let slots = Array.make (mask + 1) 0 in
-      let stamps = Array.make (mask + 1) 0 in
-      let keep = Array.make n 0 in
-      let k = ref 0 in
-      let gen = ref 0 in
-      let insert i key =
-        let s = ref (mix_hash key land mask) in
-        let continue = ref true in
-        while !continue do
-          if Array.unsafe_get stamps !s <> !gen then begin
-            Array.unsafe_set stamps !s !gen;
-            Array.unsafe_set slots !s key;
-            keep.(!k) <- i;
-            incr k;
-            continue := false
-          end
-          else if Array.unsafe_get slots !s = key then continue := false
-          else s := (!s + 1) land mask
-        done
-      in
-      let prev = ref min_int in
-      if a = 2 then begin
-        let c1 = b.cols.(1) in
-        for i = 0 to n - 1 do
-          let g = Array.unsafe_get c0 i in
-          if g <> !prev then begin
-            prev := g;
-            incr gen
-          end;
-          insert i (Array.unsafe_get c1 i)
-        done
-      end
-      else
-        for i = 0 to n - 1 do
-          let g = Array.unsafe_get c0 i in
-          if g <> !prev then begin
-            prev := g;
-            incr gen
-          end;
-          let key = ref 0 in
-          for c = 1 to a - 1 do
-            key := (!key * d) + Array.unsafe_get (Array.unsafe_get b.cols c) i
-          done;
-          insert i !key
-        done;
-      if !k = n then b else { b with nrows = !k; sel = Some (Array.sub keep 0 !k) }
+      if not !ascending then Array.sort (compare_rows cols a) order;
+      let k = ref 1 in
+      for i = 1 to n - 1 do
+        let r = order.(i) in
+        if compare_rows cols a order.(!k - 1) r <> 0 then begin
+          order.(!k) <- r;
+          incr k
+        end
+      done;
+      let cols = Array.map (fun col -> Array.init !k (fun i -> col.(order.(i)))) cols in
+      { arity = a; nrows = !k; cols; sel = None; sorted = true }
     end
   end
 
@@ -509,73 +404,19 @@ let row_at dict cols a i =
   | 3 -> Row.of_array [| cell dict cols 0 i; cell dict cols 1 i; cell dict cols 2 i |]
   | _ -> Row.of_array (Array.init a (fun c -> cell dict cols c i))
 
-(* the row packed into [key] as [a] base-[d] digits, most significant
-   first *)
-let row_of_key dict d a key =
-  match a with
-  | 1 -> Row.of_array [| Dict.decode dict key |]
-  | 2 -> Row.of_array [| Dict.decode dict (key / d); Dict.decode dict (key mod d) |]
-  | 3 ->
-    Row.of_array
-      [| Dict.decode dict (key / d / d); Dict.decode dict (key / d mod d);
-         Dict.decode dict (key mod d) |]
-  | _ ->
-    let cells = Array.make a (Dict.decode dict 0) in
-    let k = ref key in
-    for c = a - 1 downto 0 do
-      cells.(c) <- Dict.decode dict (!k mod d);
-      k := !k / d
-    done;
-    Row.of_array cells
-
+(* With a rank-ordered dictionary code order is the canonical row order,
+   so nothing boxed is ever compared: a batch that passed through
+   [canon] (or kept an operand's order) decodes as it stands, any other
+   takes one [canon] first. *)
 let to_relation dict b =
-  let b = dense b in
-  let n = b.nrows and a = b.arity and cols = b.cols in
+  let a = b.arity in
   if Dict.ordered dict then begin
-    (* codes are Value ranks: code-lexicographic order is the canonical
-       row order, and batches are duplicate-free, so nothing boxed is
-       ever compared.  Operators propagate sortedness, so most batches
-       need no sort at all; the rest sort unboxed ints — packed into a
-       single key per row when the codes fit one word. *)
-    if b.sorted then Relation.of_sorted_rows ~arity:a (Array.init n (row_at dict cols a))
-    else begin
-      let d = max 1 (Dict.size dict) in
-      if fits_word d a then begin
-        (* pack each row into one word, sort the words monomorphically,
-           unpack by divmod: no permutation array, no compare closure *)
-        let keys = Array.make n 0 in
-        for i = 0 to n - 1 do
-          let key = ref 0 in
-          for c = 0 to a - 1 do
-            key := (!key * d) + Array.unsafe_get (Array.unsafe_get cols c) i
-          done;
-          Array.unsafe_set keys i !key
-        done;
-        let bound = ref 1 in
-        for _ = 1 to a do
-          bound := !bound * d
-        done;
-        sort_keys keys ~bound:!bound;
-        Relation.of_sorted_rows ~arity:a (Array.map (row_of_key dict d a) keys)
-      end
-      else begin
-        let order = Array.init n (fun i -> i) in
-        let cmp i j =
-          let rec go c =
-            if c >= a then 0
-            else
-              let x = Array.unsafe_get (Array.unsafe_get cols c) i in
-              let y = Array.unsafe_get (Array.unsafe_get cols c) j in
-              if x < y then -1 else if x > y then 1 else go (c + 1)
-          in
-          go 0
-        in
-        Array.sort cmp order;
-        Relation.of_sorted_rows ~arity:a (Array.map (row_at dict cols a) order)
-      end
-    end
+    let b = if b.sorted then dense b else canon b in
+    Relation.of_sorted_rows ~arity:a (Array.init b.nrows (row_at dict b.cols a))
   end
-  else Relation.of_rows ~arity:a (Array.init n (row_at dict cols a))
+  else
+    let b = dense b in
+    Relation.of_rows ~arity:a (Array.init b.nrows (row_at dict b.cols a))
 
 (* [filter pred b] keeps the logical rows satisfying [pred]; only the
    selection vector is rebuilt, columns are shared *)
@@ -621,23 +462,17 @@ let injective ~arity ~equated cols =
 
 (* The projection onto [cols] of [n] duplicate-free source rows of
    [arity] columns, [sorted] as the source batch, on which [equated]
-   holds; [column c] is source column [c], dense.  The one place the
-   dedup tier is chosen, for {!project} and {!gather_project}:
-   - an injective projection has no duplicates to remove;
-   - a prefix of sorted rows stays sorted, so duplicates are adjacent;
-   - sorted rows whose first column survives in front stay grouped by
-     it, so the per-group dedup applies;
-   - anything else goes through the general table. *)
+   holds; [column c] is source column [c], dense.  For {!project} and
+   {!gather_project}: an injective projection has no duplicates to
+   remove, and keeps the source order (sorted when it keeps a prefix);
+   any other goes through [canon]. *)
 let projection ~arity ~sorted ~equated cols column n =
-  let prefix = Array.for_all2 ( = ) cols (Array.init (Array.length cols) Fun.id) in
   let res =
     { arity = Array.length cols; nrows = n; cols = Array.map column cols; sel = None;
-      sorted = sorted && prefix }
+      sorted = false }
   in
-  if injective ~arity ~equated cols then res
-  else if res.sorted then dedup_adjacent res
-  else if sorted && Array.length cols > 0 && cols.(0) = 0 then dedup_grouped res
-  else dedup res
+  if not (injective ~arity ~equated cols) then canon res
+  else { res with sorted = sorted && Array.for_all2 ( = ) cols (Array.init res.arity Fun.id) }
 
 (* batches never mutate their columns, so the kept ones are shared *)
 let project cols b =
@@ -747,8 +582,8 @@ let acc_push acc i j =
 let join pairs a b =
   List.iter
     (fun (i, j) ->
-      check_col "equijoin" a i;
-      check_col "equijoin" b j)
+      check_col "join" a i;
+      check_col "join" b j)
     pairs;
   let a = dense a and b = dense b in
   if a.nrows = 0 || b.nrows = 0 then no_matches a b
@@ -876,8 +711,6 @@ let join pairs a b =
     pair_matches ~pairs a b li ri npairs
   end
 
-let equijoin pairs a b = gather (join pairs a b)
-
 (* ---------------------------- access paths ---------------------------- *)
 
 (* A per-column index over a base batch, in CSR form: storage codes are
@@ -956,11 +789,11 @@ let postings_total ix col n =
   done;
   !total
 
-(* [equijoin pairs a b] where [b] is a dense base batch and [ix] indexes
+(* [join pairs a b] where [b] is a dense base batch and [ix] indexes
    [b]'s column of the first pair: every left row looks its key up in
    the postings, the remaining pairs are checked per match, and no table
    is built.  Left rows probe in order and postings ascend, so the output
-   order is equijoin's.  With a residual the postings only bound the
+   order is [join]'s.  With a residual the postings only bound the
    output; once they outnumber the rows a hash join touches ([|a| + |b|])
    the probe declines and the caller joins by hashing. *)
 let join_index_right pairs a b ix =
@@ -999,9 +832,9 @@ let join_index_right pairs a b ix =
       end
     end
 
-(* [equijoin pairs a b] where [a] is a dense base batch and [ix] indexes
+(* [join pairs a b] where [a] is a dense base batch and [ix] indexes
    [a]'s column of the first pair: the right rows probe, and the matches
-   are then sorted back into equijoin's left-major order (left row, then
+   are then sorted back into [join]'s left-major order (left row, then
    right row), packed one pair per word.  Declines, as above, when the
    postings outnumber [|a| + |b|]: checking and sorting them would cost
    more than hashing. *)
@@ -1061,10 +894,7 @@ let union a b =
         Array.blit b.cols.(c) 0 out n m;
         out)
   in
-  (* concatenation interleaves the two orders *)
-  dedup
-    { arity = a.arity; nrows = n + m; cols; sel = None;
-      sorted = (n = 0 && b.sorted) || (m = 0 && a.sorted) }
+  canon { arity = a.arity; nrows = n + m; cols; sel = None; sorted = false }
 
 (* membership structure over [b]'s rows, for diff: open-addressing set
    of row indices (rows of a batch are duplicate-free, so one slot per

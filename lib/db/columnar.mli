@@ -13,7 +13,10 @@
     Every operator maintains the set-semantics invariant (logical rows
     duplicate-free), so per-operator cardinalities — and hence budget
     charges and telemetry histograms — are the cardinalities of the
-    relations the plan denotes. *)
+    relations the plan denotes.  Projection, union and {!to_relation}
+    share one dedup and sort kernel: it packs each row into one word
+    where the codes fit, sorts, and drops adjacent duplicates, so a
+    deduplicated batch leaves [sorted]. *)
 
 module Dict : sig
   type t
@@ -71,10 +74,9 @@ val to_relation : Dict.t -> t -> Relation.t
 (** Decode back to a canonical relation, one bare row per logical row
     whose cells are the dictionary's own values.  With a
     rank-{!Dict.ordered} dictionary a [sorted] batch needs no sort, and
-    any other batch sorts its rows packed one per word when [d^a] fits a
-    word (for [d] codes and arity [a]) — by LSD radix sort from a few
-    thousand rows up, quicksort below — or by a code-comparing sort
-    otherwise; an unordered dictionary sorts the decoded rows by value. *)
+    any other batch is first sorted by codes with the kernel projection
+    and union dedup with; an unordered dictionary sorts the decoded rows
+    by value. *)
 
 val dense : t -> t
 (** Resolve the selection vector (logical = physical afterwards). *)
@@ -86,9 +88,8 @@ val filter : (int -> bool) -> t -> t
 val project : int array -> t -> t
 (** Keep the listed columns in order (indices may repeat; the columns
     are shared, not copied), then deduplicate.  A projection that keeps
-    every column skips the dedup; a prefix of sorted rows dedups
-    adjacent rows, and sorted rows that keep their first column in front
-    dedup per group of it. *)
+    every column skips the dedup and keeps the row order; any other
+    leaves its distinct rows sorted. *)
 
 (** {2 Joins}
 
@@ -110,14 +111,11 @@ val gather : matches -> t
 (** The joined batch: the left row's columns, then the right row's. *)
 
 val gather_project : int array -> matches -> t
-(** [gather_project cols m] is [project cols (gather m)] — same rows, same
-    physical order, same [sorted] flag — gathering only the columns in
-    [cols].  Dedup is skipped when the projection is injective on the
-    join: every dropped column is equated, through the join pairs, with
-    a kept one. *)
-
-val equijoin : (int * int) list -> t -> t -> t
-(** [gather (join pairs a b)]. *)
+(** [gather_project cols m] is the same relation as
+    [project cols (gather m)], gathering only the columns in [cols].
+    Dedup is skipped when the projection is injective on the join:
+    every dropped column is equated, through the join pairs, with a
+    kept one. *)
 
 (** {2 Access paths}
 

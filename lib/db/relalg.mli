@@ -32,7 +32,7 @@ type t =
           [Product (p, q)] whose column [i] (of [p]) equals column [j]
           (of [q]) for every [(i, j)] in [pairs]. Semantically equal to
           the corresponding [Select] over [Product]; executed as a hash
-          join ({!Columnar.equijoin}). *)
+          join ({!Columnar.join}) or an index probe, then gathered. *)
   | Union of t * t
   | Diff of t * t
 

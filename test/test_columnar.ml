@@ -406,16 +406,30 @@ let prop_probe_kernels =
         [ 0; 1 ]
       && agrees
            (Columnar.join_index_right rpairs q b ix.(snd (List.hd rpairs)))
-           (Columnar.equijoin rpairs q b)
+           (Columnar.gather (Columnar.join rpairs q b))
       && agrees
            (Columnar.join_index_left lpairs b ix.(fst (List.hd lpairs)) q)
-           (Columnar.equijoin lpairs b q))
+           (Columnar.gather (Columnar.join lpairs b q)))
+
+(* A batch's [sorted] flag holds of its rows: when set, the logical
+   rows are strictly increasing in code order. *)
+let sorted_holds (b : Columnar.t) =
+  let b = Columnar.dense b in
+  let row i = Array.to_list (Array.map (fun col -> col.(i)) b.cols) in
+  let ascends i = compare (row (i - 1)) (row i) < 0 in
+  (not b.sorted) || List.for_all ascends (List.init (max 0 (b.nrows - 1)) succ)
+
+(* an operand batch: [r] encoded, or reversed by a column permutation,
+   which leaves it unsorted *)
+let operand dict a r flip =
+  let b = Columnar.of_relation dict r in
+  if flip && a > 1 then Columnar.project (Array.init a (fun c -> a - 1 - c)) b else b
 
 (* The gathered path against the plain one: projecting the join's
-   matches onto [cols] gives [project cols] of the full join — same rows,
-   same physical order, same [sorted] flag — on the hash path and on
-   both index paths, over sorted and unsorted operands, with random and
-   join-injective column lists. *)
+   matches onto [cols] gives the same relation as [project cols] of the
+   full join, with as many rows, and both batches' [sorted] flags hold
+   — on the hash path and on both index paths, over sorted and unsorted
+   operands, with random and join-injective column lists. *)
 let gen_gather_case =
   QCheck.Gen.(
     let v = map vi (int_range 0 5) in
@@ -448,18 +462,17 @@ let prop_gather_project =
         Columnar.Dict.of_sorted_values
           (List.sort_uniq Value.compare (Relation.values r1 @ Relation.values r2))
       in
-      (* a reversing permutation leaves the operand unsorted *)
-      let operand a r flip =
-        let b = Columnar.of_relation dict r in
-        if flip && a > 1 then Columnar.project (Array.init a (fun c -> a - 1 - c)) b else b
-      in
-      let p = operand a1 r1 f1 and q = operand a2 r2 f2 in
+      let p = operand dict a1 r1 f1 and q = operand dict a2 r2 f2 in
       (* a declined probe ([None]) has nothing to compare *)
       let check p q = function
         | None -> true
         | Some m ->
-          same_batch (Columnar.gather_project cols m)
-            (Columnar.project cols (Columnar.equijoin pairs p q))
+          let gathered = Columnar.gather_project cols m in
+          let plain = Columnar.project cols (Columnar.gather (Columnar.join pairs p q)) in
+          gathered.nrows = plain.nrows && sorted_holds gathered && sorted_holds plain
+          && Relation.equal
+               (Columnar.to_relation dict gathered)
+               (Columnar.to_relation dict plain)
       in
       (* the index paths take a base operand: dense, as encoded *)
       let codes = Columnar.Dict.size dict in
@@ -472,13 +485,61 @@ let prop_gather_project =
         check p bq (Columnar.join_index_right pairs p bq (Columnar.build_index ~codes bq j))
         && check bp q (Columnar.join_index_left pairs bp (Columnar.build_index ~codes bp i) q))
 
+(* [to_relation] trusts the [sorted] flag to skip its sort, so no
+   operator may set it on rows that are not strictly increasing: every
+   batch the kernels return, over sorted and permuted operands, with a
+   selection vector or without, is checked. *)
+let prop_sorted_flags =
+  QCheck.Test.make ~name:"sorted flags hold of the rows" ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         triple gen_gather_case
+           (pair (list_size (int_range 0 10) (list_repeat 3 (map vi (int_range 0 5)))) bool)
+           (int_range 0 7)))
+    (fun (((a1, r1, f1), (a2, r2, f2), pairs, cols), (r3, f3), code) ->
+      let r1 = Relation.make ~arity:a1 r1 and r2 = Relation.make ~arity:a2 r2 in
+      let r3 = Relation.make ~arity:a1 (List.map (List.filteri (fun c _ -> c < a1)) r3) in
+      let dict =
+        Columnar.Dict.of_sorted_values
+          (List.sort_uniq Value.compare (List.concat_map Relation.values [ r1; r2; r3 ]))
+      in
+      let p = operand dict a1 r1 f1 and q = operand dict a2 r2 f2 in
+      let p' = operand dict a1 r3 f3 in
+      let odd = Columnar.filter (fun i -> i mod 2 = 1) p in
+      let codes = Columnar.Dict.size dict in
+      let bp = Columnar.of_relation dict r1 and bq = Columnar.of_relation dict r2 in
+      let matches =
+        Some (Columnar.join pairs p q)
+        ::
+        (match pairs with
+        | [] -> []
+        | (i, j) :: _ ->
+          [ Columnar.join_index_right pairs p bq (Columnar.build_index ~codes bq j);
+            Columnar.join_index_left pairs bp (Columnar.build_index ~codes bp i) q ])
+      in
+      List.for_all sorted_holds
+        ([ odd; Columnar.project (Array.map (fun c -> c mod a1) cols) p;
+           Columnar.project [| 0 |] odd; Columnar.union p p'; Columnar.union odd p;
+           Columnar.diff p p'; Columnar.diff odd p';
+           Columnar.select_code (Columnar.build_index ~codes bp 0) bp code ]
+        @ List.concat_map
+            (function
+              | None -> [] | Some m -> [ Columnar.gather m; Columnar.gather_project cols m ])
+            matches))
+
 (* Materialization: [to_relation] of a duplicate-free batch in shuffled
-   physical order equals [Relation.of_rows] of its decoded rows.  Sizes
-   straddle the radix sort's cutoff (4,096 packed keys) at arities 1-3;
-   arity 8 over 256 codes packs past a word, so the code-comparing sort
-   runs; and a plan literal with values below and above the state's
-   fills the evaluation's overlay out of order, so the answer takes the
-   value sort.  The rows are drawn from a seeded stream, not by QCheck:
+   physical order equals [Relation.of_rows] of its decoded rows, and a
+   projection that collapses duplicates keeps exactly the distinct rows
+   of [Relation.of_rows], sorted.  Both batches come from one keyed
+   relation of rows [(i, r_i)], whose physical order is the draw order:
+   moving the key behind the row is a permutation, so the rows stay
+   shuffled and unsorted; dropping it dedups the drawn rows, about half
+   of which repeat an earlier one.  Sizes straddle the radix sort's
+   cutoff (4,096 packed keys) at arities 1-3; arity 8 over codes 128-255
+   packs past a word (8 bits a column), so the code-comparing sort runs;
+   and a plan literal with values below and above the state's fills the
+   evaluation's overlay out of order, so the answer takes the value
+   sort.  The rows are drawn from a seeded stream, not by QCheck:
    thousands of them would drown the shrinker. *)
 type materialization = Packed of int * int | Wide of int | Overlay of int
 
@@ -503,54 +564,51 @@ let print_materialization (case, seed) =
   | Overlay n -> Printf.sprintf "overlay literal, %d rows" n)
   ^ Printf.sprintf ", seed %d" seed
 
-(* up to [n] distinct rows of [arity] values in [lo, lo + span), in draw
-   order; [4n] draws at most *)
+(* [n] rows of [arity] values in [lo, lo + span), in draw order; each
+   repeats an earlier row with probability 1/2 *)
 let random_rows rng ~arity ~lo ~span n =
-  let seen = Hashtbl.create (max 16 n) in
-  let rec draw k acc =
-    if Hashtbl.length seen = n || k = 0 then List.rev acc
-    else
-      let row = List.init arity (fun _ -> vi (lo + Random.State.int rng span)) in
-      if Hashtbl.mem seen row then draw (k - 1) acc
-      else begin
-        Hashtbl.add seen row ();
-        draw (k - 1) (row :: acc)
-      end
-  in
-  draw (4 * n) []
-
-(* one batch holding [rows] in that physical order: a balanced tree of
-   unions over single-row batches (a union keeps its left rows first) *)
-let rec batch_of dict arity = function
-  | [] -> Columnar.empty arity
-  | [ row ] -> Columnar.of_relation dict (Relation.make ~arity [ row ])
-  | rows ->
-    let half = List.length rows / 2 in
-    let left = List.filteri (fun i _ -> i < half) rows in
-    let right = List.filteri (fun i _ -> i >= half) rows in
-    Columnar.union (batch_of dict arity left) (batch_of dict arity right)
+  let drawn = Array.make n [] in
+  for i = 0 to n - 1 do
+    drawn.(i) <-
+      (if i > 0 && Random.State.bool rng then drawn.(Random.State.int rng i)
+       else List.init arity (fun _ -> vi (lo + Random.State.int rng span)))
+  done;
+  Array.to_list drawn
 
 let prop_materialization =
   QCheck.Test.make ~name:"to_relation equals of_rows of the decoded rows" ~count:40
     (QCheck.make ~print:print_materialization gen_materialization)
     (fun (case, seed) ->
       let rng = Random.State.make [| seed |] in
-      let decoded arity span rows =
-        let dict = Columnar.Dict.of_sorted_values (List.init span vi) in
-        let b = Columnar.dense (batch_of dict arity rows) in
-        let cells i = Array.map (fun col -> Columnar.Dict.decode dict col.(i)) b.Columnar.cols in
-        b.Columnar.nrows = List.length rows
+      let decoded arity ~lo ~span n =
+        let rows = random_rows rng ~arity ~lo ~span n in
+        let dict = Columnar.Dict.of_sorted_values (List.init (max (lo + span) n) vi) in
+        let keyed =
+          Columnar.of_relation dict
+            (Relation.make ~arity:(arity + 1) (List.mapi (fun i row -> vi i :: row) rows))
+        in
+        let key_last = Array.init (arity + 1) (fun c -> (c + 1) mod (arity + 1)) in
+        let shuffled = Columnar.dense (Columnar.project key_last keyed) in
+        let cells i = Array.map (fun col -> Columnar.Dict.decode dict col.(i)) shuffled.cols in
+        let deduped = Columnar.project (Array.init arity succ) keyed in
+        let distinct =
+          Relation.of_rows ~arity
+            (Array.of_list (List.map (fun r -> Row.of_array (Array.of_list r)) rows))
+        in
+        shuffled.Columnar.nrows = n
+        && (n < 2 || not shuffled.Columnar.sorted)
         && Relation.equal
-             (Columnar.to_relation dict b)
-             (Relation.of_rows ~arity (Array.init b.Columnar.nrows (fun i -> Row.of_array (cells i))))
+             (Columnar.to_relation dict shuffled)
+             (Relation.of_rows ~arity:(arity + 1)
+                (Array.init n (fun i -> Row.of_array (cells i))))
+        && deduped.Columnar.sorted && sorted_holds deduped
+        && deduped.Columnar.nrows = Relation.cardinal distinct
+        && Relation.equal (Columnar.to_relation dict deduped) distinct
       in
       match case with
       | Packed (arity, n) ->
-        let span = match arity with 1 -> (2 * n) + 1 | 2 -> 120 | _ -> 30 in
-        decoded arity span (random_rows rng ~arity ~lo:0 ~span n)
-      | Wide n ->
-        (* 256^8 = 2^64 codes do not pack into one word *)
-        decoded 8 256 (random_rows rng ~arity:8 ~lo:0 ~span:256 n)
+        decoded arity ~lo:0 ~span:(match arity with 1 -> (2 * n) + 1 | 2 -> 120 | _ -> 30) n
+      | Wide n -> decoded 8 ~lo:128 ~span:128 n
       | Overlay n ->
         let b = random_rows rng ~arity:2 ~lo:0 ~span:50 n in
         let lit = Relation.make ~arity:2 (random_rows rng ~arity:2 ~lo:(-25) ~span:100 n) in
@@ -618,6 +676,7 @@ let () =
       ( "kernels",
         [ QCheck_alcotest.to_alcotest prop_probe_kernels;
           QCheck_alcotest.to_alcotest prop_gather_project;
+          QCheck_alcotest.to_alcotest prop_sorted_flags;
           QCheck_alcotest.to_alcotest prop_materialization;
           Alcotest.test_case "relation round-trip" `Quick test_roundtrip;
           Alcotest.test_case "projection deduplicates" `Quick test_projection_dedups;

@@ -17,9 +17,7 @@ type compiler =
 (* The compiled tiers, in the order they are tried.  Adding an engine to
    the degradation chain is adding an entry here. *)
 let compiled_tiers : (string * compiler) list =
-  [ ("ranf-algebra", Ranf.compile);
-    ("adom-algebra",
-     fun ?stats ~domain ~state f -> Algebra_translate.compile ?stats ~domain ~state f) ]
+  [ ("ranf-algebra", Ranf.compile); ("adom-algebra", Algebra_translate.compile) ]
 
 let safe_range ~schema f = Safe_range.check ~schema f
 

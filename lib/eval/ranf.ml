@@ -7,9 +7,8 @@ module Schema = Fq_db.Schema
 module State = Fq_db.State
 module Sset = Fq_logic.Formula.Sset
 
-exception Not_ranf of string
-
-let ( let* ) = Result.bind
+(* [compiled], [Unsupported] and the translation primitives *)
+open Algebra_translate
 
 (* ------------------------------------------------------------------ *)
 (* SRNF → RANF: distribute conjunctive guards into disjunctions whose   *)
@@ -46,81 +45,20 @@ let to_ranf f = push_guards (Safe_range.srnf f)
 (* Translation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let dedup xs =
-  List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] xs |> List.rev
-
-let col_of cols x =
-  let rec go i = function
-    | [] -> raise (Not_ranf (Printf.sprintf "variable %s is not range-restricted here" x))
-    | c :: _ when c = x -> i
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 cols
-
-type compiled = Algebra_translate.compiled = {
-  plan : Relalg.t;
-  columns : string list;
-}
-
 let compile ?stats ~domain ~state f =
-  let (module D : Fq_domain.Domain.S) = domain in
   let schema = State.schema state in
-  let stats =
-    match stats with Some s -> s | None -> Fq_db.Optimizer.Stats.of_state state
-  in
-  let interpret_const c =
-    if Term.is_scheme_const c then
-      match State.constant state c with
-      | v -> v
-      | exception Not_found -> raise (Not_ranf (Printf.sprintf "scheme constant %s uninterpreted" c))
-    else
-      match D.constant c with
-      | Some v -> v
-      | None -> raise (Not_ranf (Printf.sprintf "constant %S has no %s value" c D.name))
-  in
-  let arg_of cols = function
-    | Term.Var x -> Relalg.Col (col_of cols x)
-    | Term.Const c -> Relalg.Const (interpret_const c)
-    | Term.App (fn, _) -> raise (Not_ranf (Printf.sprintf "function term %s(...)" fn))
-  in
+  let interpret_const = interpret_const ~domain ~state and arg_of = arg_of ~domain ~state in
   (* Guard-pushing retries must terminate even on adversarial inputs; the
      counter bounds the total number of retries per compilation. *)
   let retries = ref 0 in
   let count_retry () =
     incr retries;
-    if !retries > 200 then raise (Not_ranf "guard pushing did not converge")
-  in
-  (* natural join of two compiled plans, as a hash equijoin on the
-     shared columns (a product when none are shared) *)
-  let natural_join cg ch =
-    let shared = List.filter (fun v -> List.mem v cg.columns) ch.columns in
-    let pairs =
-      List.map (fun v -> (col_of cg.columns v, col_of ch.columns v)) shared
-    in
-    let selected =
-      match pairs with
-      | [] -> Relalg.Product (cg.plan, ch.plan)
-      | _ -> Relalg.Join (pairs, cg.plan, ch.plan)
-    in
-    let target = dedup (cg.columns @ ch.columns) in
-    let all = cg.columns @ ch.columns in
-    let projection =
-      List.map
-        (fun v ->
-          let rec find j = function
-            | c :: _ when c = v -> j
-            | _ :: rest -> find (j + 1) rest
-            | [] -> assert false
-          in
-          find 0 all)
-        target
-    in
-    { plan = Relalg.Project (projection, selected); columns = target }
+    if !retries > 200 then raise (Unsupported "guard pushing did not converge")
   in
   (* anti-join: tuples of [cur] with no match in [neg] (free(neg) ⊆ cur) *)
   let anti_join cur neg =
     if not (List.for_all (fun v -> List.mem v cur.columns) neg.columns) then
-      raise (Not_ranf "negation is not guarded by its conjunction");
+      raise (Unsupported "negation is not guarded by its conjunction");
     let joined = natural_join cur neg in
     let matching =
       { plan =
@@ -133,26 +71,26 @@ let compile ?stats ~domain ~state f =
     match f with
     | Formula.True -> { plan = Relalg.Lit (Relation.make ~arity:0 [ [] ]); columns = [] }
     | Formula.False -> { plan = Relalg.Lit (Relation.empty ~arity:0); columns = [] }
-    | Formula.Atom (r, args) when Schema.mem_relation schema r -> db_atom r args
+    | Formula.Atom (r, args) when Schema.mem_relation schema r -> db_atom ~domain ~state r args
     | Formula.Atom (p, args) ->
       raise
-        (Not_ranf
+        (Unsupported
            (Printf.sprintf "domain predicate %s/%d generates no bindings" p (List.length args)))
     | Formula.Eq (Term.Var x, Term.Const c) | Formula.Eq (Term.Const c, Term.Var x) ->
       { plan = Relalg.Lit (Relation.make ~arity:1 [ [ interpret_const c ] ]); columns = [ x ] }
     | Formula.Eq (Term.Const a, Term.Const b) ->
       if Value.equal (interpret_const a) (interpret_const b) then go Formula.True
       else go Formula.False
-    | Formula.Eq _ -> raise (Not_ranf "unguarded equality between variables")
+    | Formula.Eq _ -> raise (Unsupported "unguarded equality between variables")
     | Formula.Not g ->
       (* only a closed negation is self-contained *)
       let cg = go g in
-      if cg.columns <> [] then raise (Not_ranf "unguarded negation")
+      if cg.columns <> [] then raise (Unsupported "unguarded negation")
       else { plan = Relalg.Diff (Relalg.Lit (Relation.make ~arity:0 [ [] ]), cg.plan); columns = [] }
     | Formula.Or (g, h) ->
       let cg = go g and ch = go h in
       if List.sort compare cg.columns <> List.sort compare ch.columns then
-        raise (Not_ranf "disjuncts bind different variables (push_guards missed a case)")
+        raise (Unsupported "disjuncts bind different variables (push_guards missed a case)")
       else
         let reordered =
           { plan = Relalg.Project (List.map (col_of ch.columns) cg.columns, ch.plan);
@@ -162,50 +100,13 @@ let compile ?stats ~domain ~state f =
     | Formula.Exists (x, g) ->
       let cg = go g in
       if not (List.mem x cg.columns) then
-        raise (Not_ranf (Printf.sprintf "quantified variable %s is not restricted" x))
+        raise (Unsupported (Printf.sprintf "quantified variable %s is not restricted" x))
       else
         let keep = List.filter (fun v -> v <> x) cg.columns in
         { plan = Relalg.Project (List.map (col_of cg.columns) keep, cg.plan); columns = keep }
     | Formula.And _ -> compile_and (Formula.conjuncts f)
     | Formula.Imp _ | Formula.Iff _ | Formula.Forall _ ->
       invalid_arg "Ranf.compile: input not normalized (internal error)"
-  and db_atom r args =
-    let vars = dedup (List.concat_map Term.vars args) in
-    List.iter
-      (function
-        | Term.App (fn, _) -> raise (Not_ranf (Printf.sprintf "function term %s(...)" fn))
-        | Term.Var _ | Term.Const _ -> ())
-      args;
-    let conds =
-      List.concat
-        (List.mapi
-           (fun i t ->
-             match t with
-             | Term.Const c -> [ Relalg.Eq (Relalg.Col i, Relalg.Const (interpret_const c)) ]
-             | Term.Var x ->
-               let rec first j = function
-                 | Term.Var y :: _ when y = x -> j
-                 | _ :: rest -> first (j + 1) rest
-                 | [] -> assert false
-               in
-               let fst_occ = first 0 args in
-               if fst_occ < i then [ Relalg.Eq (Relalg.Col i, Relalg.Col fst_occ) ] else []
-             | Term.App _ -> [])
-           args)
-    in
-    let selected = List.fold_left (fun acc c -> Relalg.Select (c, acc)) (Relalg.Rel r) conds in
-    let projection =
-      List.map
-        (fun x ->
-          let rec first j = function
-            | Term.Var y :: _ when y = x -> j
-            | _ :: rest -> first (j + 1) rest
-            | [] -> assert false
-          in
-          first 0 args)
-        vars
-    in
-    { plan = Relalg.Project (projection, selected); columns = vars }
   and compile_and conjuncts =
     (* classify conjuncts *)
     let is_generator = function
@@ -216,7 +117,7 @@ let compile ?stats ~domain ~state f =
       | _ -> false
     in
     let generators, residual = List.partition is_generator conjuncts in
-    if generators = [] then raise (Not_ranf "conjunction has no generating conjunct");
+    if generators = [] then raise (Unsupported "conjunction has no generating conjunct");
     (* Generators that compile on their own come first; a generator whose
        own variables are not all generated inside it (e.g. ∃z (F(x,z) ∧
        z ≠ y) under the guard F(x,y)) gets the self-compilable guard
@@ -229,11 +130,11 @@ let compile ?stats ~domain ~state f =
       | c -> Formula.And (g, c)
     in
     let compiled_or_failed =
-      List.map (fun g -> match go g with p -> Ok (g, p) | exception Not_ranf m -> Error (g, m)) generators
+      List.map (fun g -> match go g with p -> Ok (g, p) | exception Unsupported m -> Error (g, m)) generators
     in
     let self_ok = List.filter_map Result.to_option compiled_or_failed in
     if self_ok = [] then
-      raise (Not_ranf "conjunction has no self-contained generating conjunct");
+      raise (Unsupported "conjunction has no self-contained generating conjunct");
     let guard_formula = Formula.conj (List.map fst self_ok) in
     let base =
       List.fold_left
@@ -260,7 +161,7 @@ let compile ?stats ~domain ~state f =
         else if progress then apply cur (List.rev stuck) false []
         else
           raise
-            (Not_ranf
+            (Unsupported
                (Printf.sprintf "unguarded conjunct: %s"
                   (Formula.to_string (List.hd stuck))))
       | c :: rest -> (
@@ -321,7 +222,7 @@ let compile ?stats ~domain ~state f =
           if Sset.for_all (fun v -> List.mem v cur.columns) (Formula.free_var_set g) then begin
             let neg =
               try go g
-              with Not_ranf _ ->
+              with Unsupported _ ->
                 count_retry ();
                 go (guard_into guard_formula g)
             in
@@ -344,13 +245,12 @@ let compile ?stats ~domain ~state f =
            (String.concat "," compiled.columns))
     else
       let plan = Relalg.Project (List.map (col_of compiled.columns) free, compiled.plan) in
-      Ok { plan = Fq_db.Optimizer.optimize_for ~stats ~schema plan; columns = free }
-  | exception Not_ranf msg -> Error ("not RANF-compilable: " ^ msg)
+      Ok (optimize ~stats ~state { plan; columns = free })
+  | exception Unsupported msg -> Error ("not RANF-compilable: " ^ msg)
 
 (* shadowing wrapper: compilation cost shows up as its own span *)
 let compile ?stats ~domain ~state f =
   Fq_core.Telemetry.with_span "ranf.compile" (fun () -> compile ?stats ~domain ~state f)
 
 let run ?stats ~domain ~state f =
-  let* compiled = compile ?stats ~domain ~state f in
-  Algebra_translate.eval_compiled ~domain ~state compiled
+  Result.bind (compile ?stats ~domain ~state f) (eval_compiled ~domain ~state)

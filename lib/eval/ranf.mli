@@ -11,9 +11,11 @@
     to unions and existentials to projections. The resulting plans touch
     only the stored relations.
 
-    Tests check plan-for-plan agreement with {!Algebra_translate} and the
-    Section 1.1 evaluator; the benchmark harness measures the plan-size
-    and evaluation-time gap (a DESIGN.md ablation). *)
+    The translation borrows {!Algebra_translate}'s primitives: database
+    atoms, natural joins, constant interpretation and the final optimizer
+    step.  Tests check answer agreement with {!Algebra_translate} and the
+    Section 1.1 evaluator; the benchmark harness (E15) measures the
+    plan-size and evaluation-time gap. *)
 
 val to_ranf : Fq_logic.Formula.t -> Fq_logic.Formula.t
 (** SRNF followed by guard distribution: conjunctions push into

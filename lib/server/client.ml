@@ -178,6 +178,11 @@ type progress = {
    each connection's pipeline full. *)
 let pool_chunk = 16
 
+(* Failovers a job may take before it is answered locally, and rounds
+   of topology discovery per call. *)
+let max_failovers = 4
+let rounds = 4
+
 (* Spread [jobs] across the fleet behind [addr]: discover the live
    workers, pipeline a chunk of jobs onto one connection per worker
    (one thread each), and treat any connection-level fault as "this
@@ -188,7 +193,7 @@ let pool_chunk = 16
    respawned.  A job that survives [max_failovers] connection deaths is
    answered locally with a classified transient failure — callers never
    see a bare connection error. *)
-let run_jobs ?(max_failovers = 4) ?(rounds = 4) ?timeout_ms ~addr jobs =
+let run_jobs ?timeout_ms ~addr jobs =
   let jobs = Array.of_list jobs in
   let n = Array.length jobs in
   let res =

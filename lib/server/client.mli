@@ -62,8 +62,6 @@ type job_result = {
 }
 
 val run_jobs :
-  ?max_failovers:int ->
-  ?rounds:int ->
   ?timeout_ms:int ->
   addr:Server.addr ->
   eval_job list ->
@@ -73,6 +71,8 @@ val run_jobs :
     shared queue).  Structured rejects are waited out and resent with
     the server's resume token on the same connection; a dead connection
     re-queues its unanswered jobs (resume tokens carried) for other
-    endpoints, with the topology re-discovered between rounds so
-    supervisor-respawned workers rejoin.  Results come back indexed by
-    job order.  [Error] only when no worker was ever reachable. *)
+    endpoints, with the topology re-discovered between rounds (at most
+    4) so supervisor-respawned workers rejoin.  A job whose connection
+    dies more than 4 times is answered locally.  Results come back
+    indexed by job order.  [Error] only when no worker was ever
+    reachable. *)

@@ -105,6 +105,12 @@ let gen_formula : Formula.t QCheck.Gen.t =
     oneof
       [ map2 (fun v w -> Formula.Atom ("F", [ Term.Var v; Term.Var w ])) var var;
         map (fun v -> Formula.Atom ("S", [ Term.Var v ])) var;
+        (* a constant inside a database atom exercises the atom's selection *)
+        map3
+          (fun v c first ->
+            let args = [ Term.Var v; Term.Const c ] in
+            Formula.Atom ("F", if first then List.rev args else args))
+          var const bool;
         map2 (fun v c -> Formula.Eq (Term.Var v, Term.Const c)) var const ]
   in
   fix

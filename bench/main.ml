@@ -512,19 +512,19 @@ let cache_ablation ~n =
      the bench re-runs the whole evaluation, so a shared cache converts
      repeat decides into hash lookups. *)
   let st = chain_state n in
-  let run ?cache () =
+  let run domain () =
     Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 200_000)
-      ~max_certified:(2 * n) ?cache ~domain:eq_domain ~state:st g_query
+      ~max_certified:(2 * n) ~domain ~state:st g_query
   in
   let answers =
-    match run () with
+    match run eq_domain () with
     | Ok (Enumerate.Complete r) -> Relation.cardinal r
     | _ -> -1
   in
-  let uncached_us = time_us ~reps:3 (fun () -> run ()) in
-  let cache = Decide_cache.create () in
-  ignore (run ~cache ());
-  let warm_us = time_us ~reps:3 (fun () -> run ~cache ()) in
+  let uncached_us = time_us ~reps:3 (run eq_domain) in
+  let cached = Decide_cache.domain (Decide_cache.create ()) eq_domain in
+  ignore (run cached ());
+  let warm_us = time_us ~reps:3 (run cached) in
   (answers, uncached_us, warm_us)
 
 (* The governed and plain variants do identical work on these completing
@@ -577,16 +577,16 @@ let governor_ablation () =
   in
   (* 2. warm-cache enumeration (the A2 decide-cache hot path) *)
   let stc = chain_state 12 in
-  let cache = Decide_cache.create () in
+  let cached = Decide_cache.domain (Decide_cache.create ()) eq_domain in
   let enum_unshared () =
     Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 200_000) ~max_certified:24
-      ~cache ~domain:eq_domain ~state:stc g_query
+      ~domain:cached ~state:stc g_query
   in
   ignore (enum_unshared ());
   let enum_plain, enum_gov =
     best_pair ~runs:9 ~reps:40 enum_unshared (fun () ->
-        Enumerate.run_budgeted ~max_certified:24 ~cache ~budget:(full_budget ())
-          ~domain:eq_domain ~state:stc g_query)
+        Enumerate.run_budgeted ~max_certified:24 ~budget:(full_budget ()) ~domain:cached
+          ~state:stc g_query)
   in
   (* 3. Cooper quantifier elimination under the ambient budget *)
   let cooper_plain, cooper_gov =
@@ -605,10 +605,10 @@ let hot_paths () =
   let st = join_state 1000 in
   let plan = Optimizer.optimize_for ~schema:join_schema naive_join_plan in
   let stc = chain_state 12 in
-  let cache = Decide_cache.create () in
+  let cached = Decide_cache.domain (Decide_cache.create ()) eq_domain in
   let enum () =
     Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 200_000) ~max_certified:24
-      ~cache ~domain:eq_domain ~state:stc g_query
+      ~domain:cached ~state:stc g_query
   in
   ignore (enum ());
   [ ("chain_join_n1000", 15, 4, fun () -> ignore (Relalg.eval ~state:st plan));
@@ -772,18 +772,19 @@ let batch_agreement () =
        (order_domain, nat_state, parse "exists y. R(y) /\\ x < y");
        (presburger, nat_state, parse "exists y. R(y) /\\ x + x = y + 1") |]
   in
-  let eval cache (d, st, q) =
+  let eval (d, st, q) =
     match
-      Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 500_000) ?cache ~domain:d
-        ~state:st q
+      Enumerate.run_budgeted ~budget:(Budget.of_fuel ~share:false 500_000) ~domain:d ~state:st q
     with
     | Ok (Enumerate.Complete r) -> Some r
     | _ -> None
   in
-  let seq = Array.map (eval None) specs in
+  let seq = Array.map eval specs in
   let cache = Decide_cache.create () in
   let par =
-    Supervisor.parallel_map ~jobs:4 (fun spec -> supervised (fun () -> eval (Some cache) spec) ()) specs
+    Supervisor.parallel_map ~jobs:4
+      (fun (d, st, q) -> supervised (fun () -> eval (Decide_cache.domain cache d, st, q)) ())
+      specs
   in
   Array.for_all2
     (fun a b ->

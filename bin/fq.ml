@@ -807,23 +807,12 @@ let explain_cmd =
    breaker that sends later jobs down the degradation chain instead of
    hammering it. *)
 
-type batch_outcome =
-  | B_complete
-  | B_partial
-  | B_failed
-
 type batch_result = {
   rep : Outcome.t;
   crashed : bool;
   retried : int;
   trace : string option;  (** the trace id echoed by the server (remote, traced runs) *)
 }
-
-let batch_outcome_of r =
-  match r.rep.Outcome.verdict with
-  | Outcome.Complete _ -> B_complete
-  | Outcome.Partial _ -> B_partial
-  | Outcome.Failed _ -> B_failed
 
 let batch_line idx r =
   let suffix = if r.retried > 0 then Printf.sprintf " (retried %d)" r.retried else "" in
@@ -1049,10 +1038,14 @@ let batch_cmd =
              if json then print_endline (Json.to_string (Outcome.to_json r.rep))
              else Format.printf "%s@." (batch_line idx r))
            results;
-         let count p = Array.fold_left (fun n r -> if p r then n + 1 else n) 0 results in
-         let completed = count (fun r -> batch_outcome_of r = B_complete) in
-         let partial = count (fun r -> batch_outcome_of r = B_partial) in
-         let failed = count (fun r -> batch_outcome_of r = B_failed) in
+         let count statuses =
+           Array.fold_left
+             (fun n r -> if List.mem (Outcome.status r.rep) statuses then n + 1 else n)
+             0 results
+         in
+         let completed = count [ "complete" ] in
+         let partial = count [ "partial" ] in
+         let failed = count [ "unsupported"; "error" ] in
          let retries_total = Array.fold_left (fun n r -> n + r.retried) 0 results in
          let summary =
            Printf.sprintf
@@ -1394,67 +1387,17 @@ let top_cmd =
   let labeled samples name =
     List.filter_map (fun (m, ls, v) -> if m = name then Some (ls, v) else None) samples
   in
-  (* Rebuild one merged histogram from every <name>_bucket series: each
-     series' cumulative counts become per-bucket increments, increments
-     sum across label sets (every series shares the Aggregate ladder),
-     and quantiles read off the merged (le, count) list. *)
-  let hist_increments samples name =
-    let bucket = name ^ "_bucket" in
-    let series = Hashtbl.create 8 in
-    List.iter
-      (fun (m, labels, v) ->
-        if m = bucket then
-          match List.assoc_opt "le" labels with
-          | None -> ()
-          | Some le ->
-            let key =
-              String.concat ";"
-                (List.sort compare
-                   (List.filter_map
-                      (fun (k, v) -> if k = "le" then None else Some (k ^ "=" ^ v))
-                      labels))
-            in
-            let lef = if le = "+Inf" then infinity else float_of_string le in
-            let prev = Option.value ~default:[] (Hashtbl.find_opt series key) in
-            Hashtbl.replace series key ((lef, v) :: prev))
-      samples;
-    let incs = Hashtbl.create 32 in
-    Hashtbl.iter
-      (fun _ pts ->
-        let pts = List.sort compare pts in
-        let prev = ref 0. in
-        List.iter
-          (fun (le, cum) ->
-            let d = cum -. !prev in
-            prev := cum;
-            if d > 0. then
-              Hashtbl.replace incs le
-                (d +. Option.value ~default:0. (Hashtbl.find_opt incs le)))
-          pts)
-      series;
-    List.sort compare (Hashtbl.fold (fun le d acc -> (le, d) :: acc) incs [])
+  (* a quantile for display; [nan] means the histogram is empty *)
+  let pq h q =
+    let le = Aggregate.quantile h q in
+    if Float.is_nan le then "-"
+    else if le = infinity then "inf"
+    else if le >= 100. then Printf.sprintf "%.0f" le
+    else Printf.sprintf "%.3g" le
   in
-  let quantile incs q =
-    let total = List.fold_left (fun a (_, d) -> a +. d) 0. incs in
-    if total <= 0. then None
-    else
-      let rank = q *. total in
-      let rec go acc = function
-        | [] -> None
-        | (le, d) :: tl ->
-          let acc = acc +. d in
-          if acc >= rank then Some le else go acc tl
-      in
-      go 0. incs
-  in
-  let pq incs q =
-    match quantile incs q with
-    | None -> "-"
-    | Some le when le = infinity -> "inf"
-    | Some le -> if le >= 100. then Printf.sprintf "%.0f" le else Printf.sprintf "%.3g" le
-  in
-  let jq incs q =
-    match quantile incs q with Some le when le < infinity -> Json.Float le | _ -> Json.Null
+  let jq h q =
+    let le = Aggregate.quantile h q in
+    if Float.is_finite le then Json.Float le else Json.Null
   in
   let scrape c =
     Result.bind (Client.request c (Protocol.Metrics { id = "top" })) @@ fun (_, r) ->
@@ -1508,10 +1451,8 @@ let top_cmd =
              (labeled samples "fq_eval_outcomes_total");
            List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tally [])
          in
-         let lat = hist_increments samples "fq_request_latency_ms" in
-         let fuel = hist_increments samples "fq_request_fuel_ticks" in
-         let lat_count = sum_counter samples "fq_request_latency_ms_count" in
-         let lat_sum = sum_counter samples "fq_request_latency_ms_sum" in
+         let lat = Aggregate.histogram_of_samples ~name:"fq_request_latency_ms" samples in
+         let fuel = Aggregate.histogram_of_samples ~name:"fq_request_fuel_ticks" samples in
          let hits = sum_counter samples "fq_decide_cache_hits_total" in
          let misses = sum_counter samples "fq_decide_cache_misses_total" in
          let evictions = sum_counter samples "fq_decide_cache_evictions_total" in
@@ -1532,12 +1473,12 @@ let top_cmd =
            List.filteri (fun i _ -> i < limit) sorted
          in
          if json then begin
-           let hist_json incs count sum_ =
+           let hist_json h =
              Json.Obj
-               [ ("p50", jq incs 0.5); ("p95", jq incs 0.95); ("p99", jq incs 0.99);
+               [ ("p50", jq h 0.5); ("p95", jq h 0.95); ("p99", jq h 0.99);
                  ( "mean",
-                   if count > 0. then Json.Float (sum_ /. count) else Json.Null );
-                 ("count", Json.Int (int_of_float count)) ]
+                   match Aggregate.mean h with Some m -> Json.Float m | None -> Json.Null );
+                 ("count", Json.Int h.Aggregate.count) ]
            in
            print_endline
              (Json.to_string
@@ -1550,11 +1491,8 @@ let top_cmd =
                        Json.Obj
                          (List.map (fun (k, v) -> (k, Json.Int (int_of_float v))) outcomes)
                      );
-                     ("latency_ms", hist_json lat lat_count lat_sum);
-                     ( "fuel_ticks",
-                       hist_json fuel
-                         (sum_counter samples "fq_request_fuel_ticks_count")
-                         (sum_counter samples "fq_request_fuel_ticks_sum") );
+                     ("latency_ms", hist_json lat);
+                     ("fuel_ticks", hist_json fuel);
                      ( "decide_cache",
                        Json.Obj
                          [ ("hits", Json.Int (int_of_float hits));
@@ -1588,10 +1526,12 @@ let top_cmd =
              Format.printf "outcomes: %s@."
                (String.concat "  "
                   (List.map (fun (k, v) -> Printf.sprintf "%s %.0f" k v) outcomes));
-           if lat_count > 0. then
-             Format.printf "latency ms: p50 %s  p95 %s  p99 %s  mean %.2f  (n=%.0f)@."
-               (pq lat 0.5) (pq lat 0.95) (pq lat 0.99) (lat_sum /. lat_count) lat_count;
-           if fuel <> [] then
+           Option.iter
+             (fun mean ->
+               Format.printf "latency ms: p50 %s  p95 %s  p99 %s  mean %.2f  (n=%d)@."
+                 (pq lat 0.5) (pq lat 0.95) (pq lat 0.99) mean lat.Aggregate.count)
+             (Aggregate.mean lat);
+           if fuel.Aggregate.count > 0 then
              Format.printf "fuel ticks: p50 %s  p95 %s  p99 %s@." (pq fuel 0.5)
                (pq fuel 0.95) (pq fuel 0.99);
            if hits +. misses > 0. then

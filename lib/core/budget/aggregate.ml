@@ -303,6 +303,44 @@ let parse_value s =
       | Some v -> v
       | None -> failwith ("exposition: bad sample value " ^ s))
 
+(* A rendered [le] bound back to its rung: the nearest quarter octave,
+   since [float_str] keeps six significant digits, far finer than the
+   ladder's 19% steps. *)
+let rung_of_le = function
+  | "+Inf" -> bucket_count - 1
+  | le ->
+    let i = zero_bucket + int_of_float (Float.round (subdiv *. Float.log2 (parse_value le))) in
+    Int.max 0 (Int.min (bucket_count - 1) i)
+
+let histogram_of_samples ~name samples =
+  let h = create () in
+  let bucket = name ^ "_bucket" and sum = name ^ "_sum" in
+  (* each label set's cumulative count so far: its rungs render in
+     ascending order, so each sample adds its increment to one rung *)
+  let cums = Hashtbl.create 8 in
+  List.iter
+    (fun (m, labels, v) ->
+      if m = sum then h.sum <- h.sum +. v
+      else if m = bucket then
+        match List.assoc_opt "le" labels with
+        | None -> ()
+        | Some le ->
+          let key = List.remove_assoc "le" labels and cum = int_of_float v in
+          let n = cum - Option.value ~default:0 (Hashtbl.find_opt cums key) in
+          Hashtbl.replace cums key cum;
+          if n > 0 then begin
+            let rung = rung_of_le le in
+            cover h rung rung;
+            h.buckets.(rung - h.first) <- h.buckets.(rung - h.first) + n;
+            h.count <- h.count + n
+          end)
+    samples;
+  if h.count > 0 then begin
+    h.min <- (if h.first = 0 then neg_infinity else bucket_le (h.first - 1));
+    h.max <- bucket_le (h.first + Array.length h.buckets - 1)
+  end;
+  h
+
 let parse_exposition text =
   let lines = String.split_on_char '\n' text in
   (match lines with

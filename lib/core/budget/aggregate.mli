@@ -100,3 +100,13 @@ val parse_exposition : string -> (string * (string * string) list * float) list
     returns each sample line as (metric, labels, value) with label
     values unescaped.  Raises [Failure] on grammar violations, including
     a missing or mismatched version header. *)
+
+val histogram_of_samples :
+  name:string -> (string * (string * string) list * float) list -> hist
+(** The inverse of {!histogram_family} for a scraper: reads family
+    [name]'s [_bucket] samples out of {!parse_exposition}'s result,
+    summed across label sets, back into one histogram on the fixed
+    ladder.  [count] and the per-rung counts are exact; [sum] adds the
+    rendered [_sum] samples.  [min] and [max] are the outer edges of the
+    lowest and highest observed rungs, so {!quantile} answers with rung
+    bounds. *)

@@ -91,10 +91,3 @@ let injection_count p =
   let n = List.length p.log in
   Mutex.unlock p.lock;
   n
-
-let transient_exn = function Injected { transient; _ } -> transient | _ -> false
-
-let pp_action ppf = function
-  | Trip fl -> Format.fprintf ppf "trip(%a)" Budget.pp_failure fl
-  | Crash m -> Format.fprintf ppf "crash(%s)" m
-  | Flaky m -> Format.fprintf ppf "flaky(%s)" m

@@ -115,9 +115,3 @@ val injections : plan -> (string * int * action) list
     workload. *)
 
 val injection_count : plan -> int
-
-val transient_exn : exn -> bool
-(** [true] exactly for [Injected {transient = true; _}] — the
-    supervisor's retry test. *)
-
-val pp_action : Format.formatter -> action -> unit

@@ -14,12 +14,13 @@ module Make (K : Hashtbl.HashedType) = struct
     table : 'a node H.t;
     mutable head : 'a node option;
     mutable tail : 'a node option;
-    capacity : int; (* <= 0 means unbounded *)
+    capacity : int;
     on_evict : key -> 'a -> unit;
     mutable evictions : int;
   }
 
   let create ?(on_evict = fun _ _ -> ()) capacity =
+    if capacity < 1 then invalid_arg "Lru.create: capacity < 1";
     { table = H.create 16; head = None; tail = None; capacity; on_evict; evictions = 0 }
 
   let length t = H.length t.table
@@ -60,7 +61,7 @@ module Make (K : Hashtbl.HashedType) = struct
       let n = { key = k; value = v; prev = None; next = None } in
       H.add t.table k n;
       push_front t n;
-      while t.capacity > 0 && H.length t.table > t.capacity do
+      while H.length t.table > t.capacity do
         match t.tail with
         | None -> assert false (* length > 0 implies a tail *)
         | Some lru ->

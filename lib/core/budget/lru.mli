@@ -11,9 +11,9 @@ module Make (K : Hashtbl.HashedType) : sig
   type 'a t
 
   val create : ?on_evict:(key -> 'a -> unit) -> int -> 'a t
-  (** [create capacity] bounds the number of retained entries; a
-      [capacity <= 0] never evicts.  [on_evict] runs on each entry
-      evicted past the capacity. *)
+  (** [create capacity] bounds the number of retained entries.
+      [on_evict] runs on each entry evicted past the capacity.
+      @raise Invalid_argument when [capacity < 1]. *)
 
   val length : 'a t -> int
 

@@ -48,6 +48,10 @@ type frame = {
    unlike the decide cache no lock is needed. *)
 module Histos = Lru.Make (String)
 
+(* A recording keeps at most this many spans and histogram keys. *)
+let max_spans = 20_000
+let max_histos = 1024
+
 (* The no-op sink keeps [enabled] true while skipping all bookkeeping: the
    cost of observation itself (the branches in the engines' inner loops)
    can be measured against the fully-disabled build. *)
@@ -55,7 +59,6 @@ type mode = Noop | Record
 
 type collector = {
   mode : mode;
-  max_spans : int;
   t_start : float;
   mutable stack : frame list;
   mutable roots : span list; (* reversed *)
@@ -111,7 +114,7 @@ let with_span ?(attrs = []) name f =
     match c.mode with
     | Noop -> f ()
     | Record ->
-      if c.nspans >= c.max_spans then begin
+      if c.nspans >= max_spans then begin
         c.dropped <- c.dropped + 1;
         f ()
       end
@@ -164,9 +167,8 @@ let trace_id () =
 
 (* ---------------------------- recording ---------------------------- *)
 
-let make_collector ?(max_histos = 1024) mode max_spans =
+let make_collector mode =
   { mode;
-    max_spans;
     t_start = now_ms ();
     stack = [];
     roots = [];
@@ -190,12 +192,12 @@ let snapshot c =
     evicted_histograms = Histos.evictions c.histos;
     trace_id = c.trace }
 
-let record ?(max_spans = 20_000) ?max_histos f =
-  let c = make_collector ?max_histos Record max_spans in
+let record f =
+  let c = make_collector Record in
   let v = Budget.with_tick_clock (fun () -> run_with c f) in
   (v, snapshot c)
 
-let with_noop f = run_with (make_collector Noop 0) f
+let with_noop f = run_with (make_collector Noop) f
 
 (* ----------------------------- analysis ----------------------------- *)
 

@@ -95,13 +95,12 @@ val trace_id : unit -> string option
 
 (** {1 Recording} *)
 
-val record : ?max_spans:int -> ?max_histos:int -> (unit -> 'a) -> 'a * report
+val record : (unit -> 'a) -> 'a * report
 (** Run a thunk with a recording collector installed (restoring the
     previous one after) and return its result with the recorded report.
-    At most [max_spans] (default 20_000) spans are kept; further
-    [with_span]s still run their thunks but are tallied in
-    [dropped_spans].  At most [max_histos] (default 1024; [<= 0] =
-    unbounded) histogram keys are kept, LRU-evicting past the cap into
+    At most 20,000 spans are kept; further [with_span]s still run their
+    thunks but are tallied in [dropped_spans].  At most 1,024 histogram
+    keys are kept, LRU-evicting past the cap into
     [evicted_histograms]. *)
 
 val with_noop : (unit -> 'a) -> 'a

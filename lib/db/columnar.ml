@@ -38,14 +38,6 @@ module Dict = struct
 
   let dummy = Value.int 0
 
-  let create ?(size = 64) () =
-    { parent = None;
-      offset = 0;
-      values = Array.make (max 16 size) dummy;
-      n = 0;
-      index = Hashtbl.create (max 16 size);
-      ordered = false }
-
   (* [vs] must be sorted ascending by [Value.compare] and duplicate-free *)
   let of_sorted_values vs =
     let n = List.length vs in
@@ -63,6 +55,8 @@ module Dict = struct
         Hashtbl.add d.index v i)
       vs;
     d
+
+  let create () = { (of_sorted_values []) with ordered = false }
 
   let size d = d.offset + d.n
 

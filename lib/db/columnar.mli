@@ -21,7 +21,8 @@
 module Dict : sig
   type t
 
-  val create : ?size:int -> unit -> t
+  val create : unit -> t
+  (** An empty dictionary whose codes follow insertion order. *)
 
   val of_sorted_values : Value.t list -> t
   (** Dictionary over a duplicate-free, {!Value.compare}-ascending value

@@ -101,10 +101,6 @@ let equal a b =
   let rec go i = i >= n || (Row.equal a.rows.(i) b.rows.(i) && go (i + 1)) in
   go 0
 
-let fold f r acc = Array.fold_left (fun acc row -> f (Row.to_list row) acc) acc r.rows
-let iter f r = Array.iter (fun row -> f (Row.to_list row)) r.rows
-let exists p r = Array.exists (fun row -> p (Row.to_list row)) r.rows
-let for_all p r = Array.for_all (fun row -> p (Row.to_list row)) r.rows
 
 let values r =
   Array.fold_left

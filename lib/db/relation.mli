@@ -28,10 +28,6 @@ val mem : tuple -> t -> bool
 val add : tuple -> t -> t
 val equal : t -> t -> bool
 
-val fold : (tuple -> 'a -> 'a) -> t -> 'a -> 'a
-val iter : (tuple -> unit) -> t -> unit
-val exists : (tuple -> bool) -> t -> bool
-val for_all : (tuple -> bool) -> t -> bool
 val values : t -> Value.t list
 (** All values occurring in any tuple, deduplicated and sorted. *)
 

@@ -60,11 +60,6 @@ let active_domain st =
   let from_constants = List.map snd st.constants in
   List.sort_uniq Value.compare (from_relations @ from_constants)
 
-let with_relation st name rel =
-  check_relation st.schema (name, rel);
-  (* the memo describes the old relation set — never carry it over *)
-  { st with relations = (name, rel) :: List.remove_assoc name st.relations; memo = None }
-
 let pp fmt st =
   Format.fprintf fmt "@[<v>";
   List.iter

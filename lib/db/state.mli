@@ -30,9 +30,6 @@ val active_domain : t -> Value.t list
     relations" (Section 1). A querying formula's own constants are added
     separately by callers that need the full active domain of a query. *)
 
-val with_relation : t -> string -> Relation.t -> t
-(** Functional update. @raise Invalid_argument as in {!make}. *)
-
 val memo : t -> exn option
 (** Engine-private memo slot (see {!set_memo}); [None] on a fresh or
     functionally-updated state. *)

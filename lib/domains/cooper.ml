@@ -124,22 +124,6 @@ let of_formula f =
   in
   go f
 
-let to_formula qf =
-  let atom_to_formula = function
-    | Lt t -> Formula.Atom ("<", [ Term.Const "0"; L.to_term t ])
-    | Dvd (d, t) -> Formula.Atom ("dvd", [ Term.Const (B.to_string d); L.to_term t ])
-    | Ndvd (d, t) ->
-      Formula.Not (Formula.Atom ("dvd", [ Term.Const (B.to_string d); L.to_term t ]))
-  in
-  let rec go = function
-    | T -> Formula.True
-    | F -> Formula.False
-    | A a -> atom_to_formula a
-    | Conj (a, b) -> Formula.And (go a, go b)
-    | Disj (a, b) -> Formula.Or (go a, go b)
-  in
-  go qf
-
 (* --------------------------- elimination --------------------------- *)
 
 let rec map_atoms fn = function

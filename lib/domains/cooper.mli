@@ -29,8 +29,6 @@ type qf =
 val of_formula : Fq_logic.Formula.t -> (qf, string) result
 (** Converts a {e quantifier-free} formula. *)
 
-val to_formula : qf -> Fq_logic.Formula.t
-
 val qf_not : qf -> qf
 val eliminate : string -> qf -> qf
 (** [eliminate x phi] is a quantifier-free [qf] equivalent (over ℤ) to

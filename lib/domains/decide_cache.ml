@@ -22,7 +22,10 @@ type t = {
   mutable insert_hook : (Formula.t -> (bool, string) result -> unit) option;
 }
 
-let create ?(capacity = 4096) () =
+(* Retained entries; the least recently used is evicted past it. *)
+let capacity = 4096
+
+let create () =
   { table =
       Lru.create capacity ~on_evict:(fun _ _ -> Fq_core.Telemetry.count "decide_cache.evictions");
     lock = Mutex.create ();

@@ -20,12 +20,11 @@ type t
 
 type stats = { hits : int; misses : int; entries : int; evictions : int }
 
-val create : ?capacity:int -> unit -> t
-(** [capacity] (default [4096]) bounds the number of {e retained}
-    entries — the least recently used entry is evicted when an insertion
-    would exceed it.  A non-positive [capacity] disables eviction (the
-    pre-LRU unbounded behavior).  Lookups count as uses, so hot sentences survive long
-    enumerations even when the candidate stream churns the tail. *)
+val create : unit -> t
+(** An empty cache that retains at most 4,096 entries — the least
+    recently used entry is evicted when an insertion would exceed it.
+    Lookups count as uses, so hot sentences survive long enumerations
+    even when the candidate stream churns the tail. *)
 
 val stats : t -> stats
 (** Per-instance counts.  Hits, misses and evictions are also mirrored

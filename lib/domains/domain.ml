@@ -93,10 +93,3 @@ let with_decide (module D : S) decide : t =
     let seeds = D.seeds
     let decide = decide
   end)
-
-let check_pure_sentence (module D : S) f =
-  if not (Formula.is_sentence f) then
-    Error (Printf.sprintf "formula has free variables: %s" (String.concat ", " (Formula.free_vars f)))
-  else if not (Signature.is_pure D.signature f) then
-    Error (Printf.sprintf "formula is not a pure %s domain formula" D.name)
-  else Ok ()

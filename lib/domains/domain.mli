@@ -76,7 +76,3 @@ val with_decide : t -> (Fq_logic.Formula.t -> (bool, string) result) -> t
     every other component forwards.  The hook for wrapping a domain in a
     cache, a circuit breaker ({!Fq_core.Supervisor.Breaker}), or a fault
     shim without touching the domain itself. *)
-
-val check_pure_sentence : t -> Fq_logic.Formula.t -> (unit, string) result
-(** The precondition of {!S.decide}: a sentence over the domain signature
-    with no database relations or scheme constants. *)

@@ -85,19 +85,6 @@ let of_term term =
   in
   go term
 
-let to_term t =
-  let monomial (x, c) =
-    if B.equal c B.one then Term.Var x
-    else Term.App ("*", [ Term.Const (B.to_string c); Term.Var x ])
-  in
-  let monomials = List.map monomial (Smap.bindings t.coeffs) in
-  let parts = if B.is_zero t.const && monomials <> [] then monomials
-    else monomials @ [ Term.Const (B.to_string t.const) ]
-  in
-  match parts with
-  | [] -> Term.Const "0"
-  | first :: rest -> List.fold_left (fun acc m -> Term.App ("+", [ acc; m ])) first rest
-
 let pp fmt t =
   let pp_mono fmt (x, c) =
     if B.equal c B.one then Format.pp_print_string fmt x

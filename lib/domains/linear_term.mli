@@ -37,7 +37,4 @@ val of_term : Fq_logic.Term.t -> (t, string) result
     least one constant side. Rejects nonlinear products, scheme constants
     and unknown symbols. *)
 
-val to_term : t -> Fq_logic.Term.t
-(** A canonical logic term denoting this linear term. *)
-
 val pp : Format.formatter -> t -> unit

@@ -76,12 +76,7 @@ let decide domain f =
   let (module D : Fq_domain.Domain.S) = domain in
   D.decide f
 
-let certified_complete ?cache ~domain ~state f rel =
-  let domain =
-    match cache with
-    | Some c -> Fq_domain.Decide_cache.domain c domain
-    | None -> domain
-  in
+let certified_complete ~domain ~state f rel =
   let* f' = Translate.formula ~domain ~state f in
   let vars = Formula.free_vars f in
   if vars = [] then Ok true
@@ -97,12 +92,7 @@ let classify_error e =
   | Some reason -> Budget.Exhausted reason
   | None -> Failure e
 
-let run_budgeted ?(max_certified = 12) ?cache ?resume ~budget ~domain ~state f =
-  let domain =
-    match cache with
-    | Some c -> Fq_domain.Decide_cache.domain c domain
-    | None -> domain
-  in
+let run_budgeted ?(max_certified = 12) ?resume ~budget ~domain ~state f =
   let* f' = Translate.formula ~domain ~state f in
   let vars = Formula.free_vars f in
   let exception Decide_failed of string in

@@ -32,7 +32,6 @@ val tuples : arity:int -> (unit -> Fq_db.Value.t Seq.t) -> Fq_db.Value.t list Se
 
 val run_budgeted :
   ?max_certified:int ->
-  ?cache:Fq_domain.Decide_cache.t ->
   ?resume:int * Fq_db.Relation.t ->
   budget:Budget.t ->
   domain:Fq_domain.Domain.t ->
@@ -57,16 +56,16 @@ val run_budgeted :
     [max_certified] bounds the answer size the completeness sentence is
     asked about (default [12]) — the sentence is extended incrementally
     with one exclusion clause per found tuple, and past the cap the scan
-    stops with [Partial] and reason [Oversize]. [cache] memoizes every
-    [decide] call on alpha-equivalent sentences
-    ({!Fq_domain.Decide_cache}); pass the same cache across runs to reuse
-    verdicts. [resume] (the [seen] count and tuples of a previous
+    stops with [Partial] and reason [Oversize]. The scan reaches the
+    domain only through [decide], so a domain wrapped by
+    {!Fq_domain.Decide_cache.domain} memoizes every decision on
+    alpha-equivalent sentences; {!Query.eval_resilient}'s [?cache] does
+    that wrap. [resume] (the [seen] count and tuples of a previous
     [Partial]) skips the already-consumed prefix of the candidate
     enumeration, so a sequence of budgeted calls converges to the same
     answer as one unbounded call. *)
 
 val certified_complete :
-  ?cache:Fq_domain.Decide_cache.t ->
   domain:Fq_domain.Domain.t ->
   state:Fq_db.State.t ->
   Fq_logic.Formula.t ->

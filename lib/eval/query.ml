@@ -60,6 +60,9 @@ let plan ?stats ~domain ~state f =
 
 let eval_resilient ?budget ?max_certified ?cache ?resume ?stats ~domain ~state f =
   let budget = match budget with Some b -> b | None -> Budget.of_fuel 10_000 in
+  let domain =
+    match cache with Some c -> Fq_domain.Decide_cache.domain c domain | None -> domain
+  in
   Telemetry.with_span "query.eval_resilient" @@ fun () ->
   let arity = List.length (Formula.free_vars f) in
   let partial ?(tuples = Relation.empty ~arity) ?(seen = 0) reason =
@@ -70,7 +73,7 @@ let eval_resilient ?budget ?max_certified ?cache ?resume ?stats ~domain ~state f
     let resume = Option.map (fun (r : Outcome.resume) -> (r.seen, r.found)) resume in
     finish
       (Telemetry.with_span ("tier:" ^ scan_tier) (fun () ->
-           match Enumerate.run_budgeted ?max_certified ?cache ?resume ~budget ~domain ~state f with
+           match Enumerate.run_budgeted ?max_certified ?resume ~budget ~domain ~state f with
            | Ok (Enumerate.Complete answer) -> Outcome.Complete { answer; tier = scan_tier }
            | Ok (Enumerate.Partial { tuples; seen; reason }) -> partial ~tuples ~seen reason
            | Error e -> Outcome.Failed { reason = e }))

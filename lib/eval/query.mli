@@ -61,7 +61,11 @@ val eval_resilient :
     budget is [Budget.of_fuel 10_000].  With [?resume] (the token of a
     previous [Partial]) the compiled tiers are skipped (the prior call
     already fell through them) and the scan continues from the token.
-    [?stats] feeds the compiled tiers' cost-based optimizer (e.g. a
+    [?cache] routes every decision through that
+    {!Fq_domain.Decide_cache}: the domain is wrapped once with
+    {!Fq_domain.Decide_cache.domain}, the evaluation API's only cache
+    door; pass the same cache across calls to reuse verdicts.  [?stats]
+    feeds the compiled tiers' cost-based optimizer (e.g. a
     telemetry profile via {!Fq_db.Optimizer.Stats.with_profile}); by
     default each tier derives base-cardinality statistics from the
     state. *)

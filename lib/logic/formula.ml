@@ -339,13 +339,6 @@ let rec map_atoms fn f =
   | Exists (v, g) -> Exists (v, map_atoms fn g)
   | Forall (v, g) -> Forall (v, map_atoms fn g)
 
-let exists_atom p f =
-  fold_atoms
-    (fun acc -> function
-      | Atom (name, ts) -> acc || p name ts
-      | _ -> acc)
-    false f
-
 (* Precedence-aware printing: Iff(1) < Imp(2) < Or(3) < And(4) < Not/Q(5). *)
 let pp fmt f =
   let rec go prec fmt f =

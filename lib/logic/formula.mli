@@ -96,7 +96,5 @@ val map_atoms : (t -> t) -> t -> t
 (** Applies a function to every [Atom] and [Eq] leaf, rebuilding the
     formula. The callback receives the leaf and must return a formula. *)
 
-val exists_atom : (string -> Term.t list -> bool) -> t -> bool
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -158,27 +158,6 @@ let rec dnf f =
       dg
   | Not _ | Imp _ | Iff _ | Exists _ | Forall _ -> bad_input "Transform.dnf"
 
-let rec cnf f =
-  match f with
-  | True -> []
-  | False -> [ [] ]
-  | Atom _ | Eq _ | Not (Atom _) | Not (Eq _) -> [ [ f ] ]
-  | And (g, h) -> cnf g @ cnf h
-  | Or (g, h) ->
-    let cg = cnf g and ch = cnf h in
-    List.concat_map
-      (fun dg ->
-        List.map
-          (fun dh ->
-            Fq_core.Budget.tick_ambient ();
-            dg @ dh)
-          ch)
-      cg
-  | Not _ | Imp _ | Iff _ | Exists _ | Forall _ -> bad_input "Transform.cnf"
-
-let of_dnf clauses = disj (List.map conj clauses)
-let of_cnf clauses = conj (List.map disj clauses)
-
 let eliminate_quantifiers ~exists_conj f =
   (* Innermost-first elimination. [elim f] returns a quantifier-free
      formula equivalent to [f], assuming [f] is in NNF. *)

@@ -31,12 +31,6 @@ val dnf : Formula.t -> Formula.t list list
     negation of one. [dnf True = [[]]]; [dnf False = []].
     @raise Invalid_argument if the input contains quantifiers or [Imp]/[Iff]. *)
 
-val cnf : Formula.t -> Formula.t list list
-(** Conjunctive normal form, dually to {!dnf}. [cnf True = []]. *)
-
-val of_dnf : Formula.t list list -> Formula.t
-val of_cnf : Formula.t list list -> Formula.t
-
 val miniscope : Formula.t -> Formula.t
 (** Pushes quantifiers inward as far as possible on an NNF formula:
     [∃x (f ∨ g) = ∃x f ∨ ∃x g], [∃x (f ∧ g) = f ∧ ∃x g] when [x] is not

@@ -211,7 +211,6 @@ let ediv_rem a b =
 
 let div a b = fst (div_rem a b)
 let rem a b = snd (div_rem a b)
-let erem a b = snd (ediv_rem a b)
 
 let divisible ~by n =
   if is_zero by then invalid_arg "Bigint.divisible: zero divisor";

@@ -66,7 +66,6 @@ val ediv_rem : t -> t -> t * t
 
 val div : t -> t -> t
 val rem : t -> t -> t
-val erem : t -> t -> t
 
 val divisible : by:t -> t -> bool
 (** [divisible ~by:d n] is [true] iff [d] divides [n]. [d] must be nonzero. *)

@@ -454,7 +454,7 @@ let control_tick t ctl listen_fd =
        match Unix.accept listen_fd with
        | fd, _ ->
          (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 1.0 with Unix.Unix_error _ -> ());
-         let c_reader = Server.reader ~max_bytes:t.cfg.serve.Server.max_line_bytes fd in
+         let c_reader = Server.reader ~max_bytes:Server.max_line_bytes fd in
          t.conns <- t.conns @ [ { c_fd = fd; c_reader } ]
        | exception Unix.Unix_error _ -> ());
     t.conns <-

@@ -87,8 +87,6 @@ type config = {
   journal : string option;
   state_file : string option;
   worker_id : string option;
-  max_line_bytes : int;
-  watchdog_grace_ms : int;
   trace_sample : int;
   slow_ms : float option;
   slow_log : string option;
@@ -112,8 +110,6 @@ let default_config ~state addr =
     journal = None;
     state_file = None;
     worker_id = None;
-    max_line_bytes = 1 lsl 20;
-    watchdog_grace_ms = 1000;
     trace_sample = 0;
     slow_ms = None;
     slow_log = None;
@@ -124,9 +120,12 @@ let default_config ~state addr =
     log = (fun line -> Printf.eprintf "%s\n%!" line) }
 
 (* Fixed serving constants: appends between journal compactions, the
+   request line-length bound, the watchdog's grace past a deadline, the
    queue depth that browns admissions out and their fuel shrink factor,
    and how many sampled traces the ring keeps. *)
 let journal_compact_every = 512
+let max_line_bytes = 1 lsl 20
+let watchdog_grace_ms = 1000.
 let brownout_queue = 32
 let brownout_fuel_divisor = 4
 let trace_ring_size = 64
@@ -232,8 +231,8 @@ let reg_lobserve reg name labels v =
         Hashtbl.add reg.r_lab_hists key h)
 
 (* The per-client label dimension is the only one a peer controls (by
-   opening connections), so it gets its own cardinality cap: the first
-   [client_label_cap] connections keep distinct labels, the rest share
+   opening connections), so it gets its own cardinality cap: while
+   [client_label_cap] labeled connections are open, further ones share
    ["other"]. *)
 let client_label reg conn_id =
   reg_locked reg (fun () ->
@@ -246,6 +245,24 @@ let client_label reg conn_id =
         in
         Hashtbl.add reg.r_clients conn_id l;
         l)
+
+(* A closing connection gives its label up, and its count moves to
+   ["other"]: the family keeps one sample per open labeled connection,
+   and its total still only grows. *)
+let forget_client reg conn_id =
+  let moved =
+    reg_locked reg (fun () ->
+        let label = Hashtbl.find_opt reg.r_clients conn_id in
+        Hashtbl.remove reg.r_clients conn_id;
+        match label with
+        | Some l when l <> "other" ->
+          let key = lkey "fq_client_requests_total" [ ("client", l) ] in
+          let n = Option.fold ~none:0 ~some:( ! ) (Hashtbl.find_opt reg.r_lab_counters key) in
+          Hashtbl.remove reg.r_lab_counters key;
+          n
+        | _ -> 0)
+  in
+  if moved > 0 then reg_lcount reg ~n:moved "fq_client_requests_total" [ ("client", "other") ]
 
 let reg_get reg name =
   reg_locked reg (fun () ->
@@ -336,7 +353,10 @@ type conn = {
   c_oc : out_channel;
   c_olock : Mutex.t;
   mutable c_inflight : int;  (* guarded by the server lock *)
-  mutable c_closed : bool;  (* guarded by c_olock *)
+  mutable c_holds : int;
+      (* the reader until EOF, plus each admitted job until its reply is
+         written; guarded by the server lock (see [release]) *)
+  mutable c_closed : bool;  (* a write failed; guarded by c_olock *)
 }
 
 (* The database and everything derived from it, swapped as one unit by a
@@ -378,10 +398,12 @@ type t = {
   cfg : config;
   cache : Decide_cache.t;
   queue : job Queue.t;
-  lock : Mutex.t;  (* guards queue, inflight, conn inflights, stopping,
-                      current epoch, state_path, ema_ms, slot fields *)
+  lock : Mutex.t;  (* guards queue, inflight, conn inflights and holds,
+                      live, stopping, current epoch, state_path, ema_ms,
+                      slot fields *)
   nonempty : Condition.t;
   mutable inflight : int;
+  live : (int, conn) Hashtbl.t;  (* open connections by c_id *)
   mutable stopping : bool;
   mutable current : epoch;
   mutable state_path : string option;  (* source for pathless reload/SIGHUP *)
@@ -440,6 +462,20 @@ let send srv conn json =
       (* the peer went away mid-write; the reader thread will see EOF *)
       conn.c_closed <- true;
       reg_count srv.reg "serve.send_failures"
+
+(* The socket closes when its last holder lets go, so a peer that has
+   half-closed still gets every reply to what it sent.  The close and
+   the removal from [srv.live] happen under the lock that shutdown walks
+   [srv.live] under: shutdown never touches a descriptor number after it
+   is closed and perhaps reused. *)
+let release srv conn =
+  Mutex.protect srv.lock (fun () ->
+      conn.c_holds <- conn.c_holds - 1;
+      if conn.c_holds = 0 then begin
+        Hashtbl.remove srv.live conn.c_id;
+        forget_client srv.reg conn.c_id;
+        close_out_noerr conn.c_oc
+      end)
 
 (* ------------------------------ journal ----------------------------- *)
 
@@ -968,6 +1004,7 @@ let admit srv conn req =
             in
             srv.inflight <- srv.inflight + 1;
             conn.c_inflight <- conn.c_inflight + 1;
+            conn.c_holds <- conn.c_holds + 1;
             Queue.push job srv.queue;
             Condition.signal srv.nonempty;
             if job.j_brownout then `Admitted_brownout else `Admitted)
@@ -1021,7 +1058,10 @@ let complete_job srv job response =
           true
         end)
   in
-  if first then send srv job.j_conn response;
+  if first then begin
+    send srv job.j_conn response;
+    release srv job.j_conn
+  end;
   first
 
 let job_deadline job =
@@ -1116,7 +1156,7 @@ let scan_watchdog srv =
                 end
                 else cancels
               in
-              if nw > slot.s_deadline +. float_of_int srv.cfg.watchdog_grace_ms then begin
+              if nw > slot.s_deadline +. watchdog_grace_ms then begin
                 slot.s_gen <- slot.s_gen + 1;
                 slot.s_job <- None;
                 slot.s_deadline <- 0.;
@@ -1306,14 +1346,14 @@ let conn_loop srv conn =
           if op <> "ping" then reg_count srv.reg "serve.requests";
           reg_lcount srv.reg "fq_requests_total" [ ("op", op) ]) }
   in
-  let r = reader ~max_bytes:srv.cfg.max_line_bytes conn.c_fd in
+  let r = reader ~max_bytes:max_line_bytes conn.c_fd in
   let rec go () =
     match answer ctl r ~refills:max_int ~send:(send srv conn) with
     | `Eof -> ()
     | `Answered | `Pending -> go ()
   in
   go ();
-  Mutex.protect conn.c_olock (fun () -> conn.c_closed <- true)
+  release srv conn
 
 (* -------------------------------- boot ------------------------------ *)
 
@@ -1379,6 +1419,7 @@ let run_bound cfg =
       lock = Mutex.create ();
       nonempty = Condition.create ();
       inflight = 0;
+      live = Hashtbl.create 16;
       stopping = false;
       current = make_epoch cfg ~id:1 cfg.state;
       state_path = cfg.state_file;
@@ -1429,7 +1470,6 @@ let run_bound cfg =
   logf cfg "listening on %s (%d workers, %d in-flight cap)" (addr_to_string cfg.addr) cfg.jobs
     cfg.max_inflight;
   Array.iter (fun slot -> spawn_seat srv slot slot.s_gen) srv.slots;
-  let conns = ref [] in
   let next_conn = ref 0 in
   let stopping () = Mutex.protect srv.lock (fun () -> srv.stopping) in
   while not (stopping ()) do
@@ -1467,17 +1507,23 @@ let run_bound cfg =
             c_oc = Unix.out_channel_of_descr fd;
             c_olock = Mutex.create ();
             c_inflight = 0;
+            c_holds = 1;
             c_closed = false }
         in
-        let thread = Thread.create (fun () -> conn_loop srv conn) () in
-        conns := (conn, thread) :: !conns
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
+        Mutex.protect srv.lock (fun () -> Hashtbl.replace srv.live conn.c_id conn);
+        ignore (Thread.create (fun () -> conn_loop srv conn) ())
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception Unix.Unix_error _ ->
+        (* out of descriptors, or a peer gone before accept: try again
+           on the next tick *)
+        reg_count srv.reg "serve.accept_errors";
+        Thread.delay 0.2)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
   (* graceful shutdown: stop accepting, drain admitted work (keeping the
      watchdog alive so a wedged worker cannot hang the drain), join the
-     pool, snapshot, then unblock the reader threads and close every
-     connection *)
+     pool, snapshot, then unblock the reader threads and wait until each
+     has closed its connection *)
   let rec drain () =
     scan_watchdog srv;
     let idle =
@@ -1503,12 +1549,14 @@ let run_bound cfg =
      srv.journal <- None
    | None -> ());
   Decide_cache.set_on_insert srv.cache None;
-  List.iter
-    (fun (conn, thread) ->
-      (try Unix.shutdown conn.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-      Thread.join thread;
-      (try Unix.close conn.c_fd with Unix.Unix_error _ -> ()))
-    !conns;
+  Mutex.protect srv.lock (fun () ->
+      Hashtbl.iter
+        (fun _ conn ->
+          try Unix.shutdown conn.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+        srv.live);
+  while Mutex.protect srv.lock (fun () -> Hashtbl.length srv.live > 0) do
+    Thread.delay 0.01
+  done;
   unbind cfg.addr listen_fd;
   let served = reg_get srv.reg "serve.requests" in
   let rejected = reg_get srv.reg "serve.rejected" in

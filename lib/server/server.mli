@@ -22,7 +22,7 @@
       query cannot starve the pool;
     - {b a worker watchdog} — a domain still evaluating past its
       request's deadline is first cancelled cooperatively (the budget's
-      cancel hook), and past [watchdog_grace_ms] more the victim request
+      cancel hook), and one second after that the victim request
       is answered with a classified error and the wedged domain's seat is
       handed to a freshly spawned replacement, so pool capacity cannot
       leak;
@@ -43,7 +43,7 @@
       epoch pointer: requests admitted before the swap finish on the old
       epoch, new admissions see the new one, optimizer statistics and
       breakers are rebuilt per epoch, and no connection drops;
-    - {b bounded input} — a request line longer than [max_line_bytes] is
+    - {b bounded input} — a request line longer than {!max_line_bytes} is
       drained and answered with a structured [malformed] reply; a hostile
       client cannot balloon a reader thread;
     - {b observability} — every request runs under a
@@ -95,10 +95,6 @@ type config = {
       (** fleet worker name stamped as a ["worker"] field into every
           reply (and the [fleet-status] answer); [None] for a lone
           server *)
-  max_line_bytes : int;  (** NDJSON reader line-length bound *)
-  watchdog_grace_ms : int;
-      (** extra time past a request's deadline before the watchdog
-          force-answers it and recycles the worker seat *)
   trace_sample : int;
       (** head-based trace sampling: record 1 in [trace_sample] eval
           requests into the trace ring ([0] = off) *)
@@ -119,16 +115,18 @@ type config = {
 val default_config : state:Fq_db.State.t -> addr -> config
 (** [jobs = 4], [max_inflight = 256], [client_share = 64],
     [default_fuel = 10_000], [max_fuel = 1_000_000], no timeout, no
-    snapshot/journal/state file, [max_line_bytes = 1 MiB],
-    [watchdog_grace_ms = 1000], tracing off ([trace_sample = 0]), no
-    slow-query log, no
-    metrics file, no extra domains, default domain ["presburger"],
-    [Stats.of_state state], writable snapshot, no worker id, logging to
-    [stderr]. *)
+    snapshot/journal/state file, tracing off ([trace_sample = 0]), no
+    slow-query log, no metrics file, no extra domains, default domain
+    ["presburger"], [Stats.of_state state], writable snapshot, no worker
+    id, logging to [stderr]. *)
 
 val journal_compact_every : int
 (** [512]: journal appends between compactions into the snapshot (a
     lone server's accept loop; a fleet parent's summed worker lag). *)
+
+val max_line_bytes : int
+(** [1 MiB]: the longest request line a server or fleet parent reads;
+    a longer one is drained and answered [malformed]. *)
 
 val journal_path : config -> string option
 (** [journal], else [snapshot ^ ".journal"] when a snapshot is set. *)

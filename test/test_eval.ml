@@ -141,7 +141,7 @@ let test_decide_cache () =
   let cached_run () =
     match
       Enumerate.run_budgeted ~budget:(Fq_core.Budget.of_fuel ~share:false 10_000)
-        ~cache ~domain:eq_domain ~state f
+        ~domain:(DC.domain cache eq_domain) ~state f
     with
     | Ok (Enumerate.Complete r) -> r
     | _ -> Alcotest.fail "cached run not finite"
@@ -158,22 +158,25 @@ let test_decide_cache () =
 let test_decide_cache_lru () =
   let module DC = Fq_domain.Decide_cache in
   let sentence i = parse (Printf.sprintf "exists x. x = \"v%d\"" i) in
-  let cache = DC.create ~capacity:2 () in
+  let cache = DC.create () in
   let decide i =
     match DC.decide cache eq_domain (sentence i) with
     | Ok _ -> ()
     | Error e -> Alcotest.fail e
   in
-  decide 0;
-  decide 1;
+  (* fill the 4,096 entries, sentence 0 least recently used *)
+  for i = 0 to 4095 do
+    DC.restore cache (Formula.alpha_normalize (sentence i)) (Ok true)
+  done;
   let s = DC.stats cache in
-  Alcotest.(check int) "two entries, none evicted" 0 s.DC.evictions;
-  decide 2;
+  Alcotest.(check int) "full, none evicted" 0 s.DC.evictions;
+  Alcotest.(check int) "filled to capacity" 4096 s.DC.entries;
+  decide 4096;
   let s = DC.stats cache in
-  Alcotest.(check int) "third entry evicts the LRU" 1 s.DC.evictions;
-  Alcotest.(check int) "entries stay at capacity" 2 s.DC.entries;
-  (* 1 and 2 are resident; touching 1 makes 2 the LRU, so deciding 0
-     again must evict 2, not 1 *)
+  Alcotest.(check int) "one more entry evicts the LRU" 1 s.DC.evictions;
+  Alcotest.(check int) "entries stay at capacity" 4096 s.DC.entries;
+  (* 0 is gone and 1 is the LRU; touching 1 makes 2 the LRU, so
+     deciding 0 again must evict 2, not 1 *)
   decide 1;
   let hits_before = (DC.stats cache).DC.hits in
   decide 0;
@@ -181,16 +184,9 @@ let test_decide_cache_lru () =
   let s = DC.stats cache in
   Alcotest.(check bool) "touched entry survived the eviction" true (s.DC.hits > hits_before);
   Alcotest.(check int) "re-inserting 0 evicted the untouched 2" 2 s.DC.evictions;
-  (* unbounded mode never evicts *)
-  let unbounded = DC.create ~capacity:0 () in
-  for i = 0 to 9 do
-    match DC.decide unbounded eq_domain (sentence i) with
-    | Ok _ -> ()
-    | Error e -> Alcotest.fail e
-  done;
-  let s = DC.stats unbounded in
-  Alcotest.(check int) "capacity 0 retains everything" 10 s.DC.entries;
-  Alcotest.(check int) "capacity 0 never evicts" 0 s.DC.evictions
+  let misses_before = s.DC.misses in
+  decide 2;
+  Alcotest.(check int) "the evicted 2 misses" (misses_before + 1) (DC.stats cache).DC.misses
 
 let test_certified_complete () =
   let f = parse "exists y z. y != z /\\ F(x, y) /\\ F(x, z)" in

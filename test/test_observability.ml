@@ -1,8 +1,9 @@
 (* The observability plane's core invariants: the log-bucketed Aggregate
    histogram (bucket ladder, conservation, quantile error bound, merge,
    the span-sized footprint), the versioned Prometheus text exposition
-   (grammar pins, escaping, a parse round-trip), the Lru against a list
-   model, the Telemetry histogram key-space LRU, and trace-id stamping. *)
+   (grammar pins, escaping, a parse round-trip, reading a histogram
+   back), the Lru against a list model and its capacity floor, the
+   Telemetry histogram key-space LRU, and trace-id stamping. *)
 
 module Aggregate = Fq_core.Aggregate
 module Telemetry = Fq_core.Telemetry
@@ -218,6 +219,44 @@ let test_exposition_version_check () =
   | _ -> Alcotest.fail "parse accepted a future exposition version"
   | exception Failure _ -> ()
 
+(* A scraper reads a histogram family back out of the exposition:
+   observe under a few label sets, render, parse, read back — the count
+   and every rung's count survive exactly, and the sum up to the six
+   significant digits each rendered [_sum] keeps. *)
+let prop_histogram_read_back =
+  let value =
+    QCheck.Gen.(
+      frequency [ (1, return 0.); (6, map Float.exp (float_range (-12.) 14.)) ])
+  in
+  QCheck.Test.make ~name:"histogram read back from the exposition" ~count:200
+    QCheck.(
+      make
+        ~print:Print.(list (pair int float))
+        Gen.(list_size (int_range 0 80) (pair (int_bound 2) value)))
+    (fun obs ->
+      let per_label = Array.init 3 (fun _ -> Aggregate.create ()) in
+      let all = Aggregate.create () in
+      List.iter
+        (fun (l, v) ->
+          Aggregate.observe per_label.(l) v;
+          Aggregate.observe all v)
+        obs;
+      let samples =
+        Array.to_list per_label
+        |> List.mapi (fun l h -> ([ ("shard", string_of_int l) ], h))
+        |> List.filter (fun (_, h) -> h.Aggregate.count > 0)
+      in
+      let text =
+        Aggregate.exposition [ Aggregate.histogram_family ~name:"fq_h" ~help:"h." samples ]
+      in
+      let back =
+        Aggregate.histogram_of_samples ~name:"fq_h" (Aggregate.parse_exposition text)
+      in
+      back.count = all.count
+      && back.first = all.first
+      && back.buckets = all.buckets
+      && Float.abs (back.sum -. all.sum) <= 1e-5 *. (1. +. all.sum))
+
 (* ------------------------ Lru vs a list model ----------------------- *)
 
 module Int_lru = Lru.Make (Int)
@@ -240,7 +279,7 @@ let prop_lru_model =
   in
   QCheck.Test.make ~name:"agrees with a recency-list model" ~count:300
     QCheck.(
-      pair (int_range (-1) 5)
+      pair (int_range 1 5)
         (make ~print:Print.(list print) Gen.(list_size (int_bound 60) op)))
     (fun (capacity, ops) ->
       let evicted = ref [] in
@@ -255,7 +294,7 @@ let prop_lru_model =
         | Replace (k, v) ->
           let fresh = not (List.mem_assoc k !model) in
           model := (k, v) :: List.remove_assoc k !model;
-          if capacity > 0 && List.length !model > capacity then begin
+          if List.length !model > capacity then begin
             let victim = List.nth !model capacity in
             model := List.filteri (fun i _ -> i < capacity) !model;
             model_evicted := victim :: !model_evicted;
@@ -270,38 +309,35 @@ let prop_lru_model =
           && Int_lru.length t = List.length !model
           && Int_lru.evictions t = !evictions
           && !evicted = !model_evicted)
-        ops
-      && (capacity > 0 || !evicted = []))
+        ops)
+
+(* every Lru is bounded: no capacity switches eviction off *)
+let test_lru_capacity_floor () =
+  List.iter
+    (fun capacity ->
+      match Int_lru.create capacity with
+      | _ -> Alcotest.failf "capacity %d accepted" capacity
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ]
 
 (* ------------------- telemetry key-space LRU ------------------------ *)
 
 let test_telemetry_histo_lru () =
   let (), report =
-    Telemetry.record ~max_histos:4 (fun () ->
-        (* 8 distinct keys at cap 4: the 4 coldest evict *)
-        for i = 1 to 8 do
+    Telemetry.record (fun () ->
+        (* 1,028 distinct keys at the 1,024-key cap: the 4 coldest evict *)
+        for i = 1 to 1028 do
           Telemetry.observe (Printf.sprintf "key.%d" i) (float_of_int i)
         done;
         (* touching key.5 makes key.6 the LRU victim of the next miss *)
         Telemetry.observe "key.5" 50.;
-        Telemetry.observe "key.9" 9.)
+        Telemetry.observe "key.1029" 9.)
   in
   let names = List.map fst report.Telemetry.histograms in
-  Alcotest.(check int) "key space stays at the cap" 4 (List.length names);
+  Alcotest.(check int) "key space stays at the cap" 1024 (List.length names);
   Alcotest.(check bool) "recently touched key survives" true (List.mem "key.5" names);
   Alcotest.(check bool) "LRU victim evicted" false (List.mem "key.6" names);
   Alcotest.(check int) "evictions tallied" 5 report.Telemetry.evicted_histograms
-
-let test_telemetry_histo_unbounded () =
-  let (), report =
-    Telemetry.record ~max_histos:0 (fun () ->
-        for i = 1 to 64 do
-          Telemetry.observe (Printf.sprintf "key.%d" i) 1.
-        done)
-  in
-  Alcotest.(check int) "cap <= 0 means unbounded" 64
-    (List.length report.Telemetry.histograms);
-  Alcotest.(check int) "no evictions" 0 report.Telemetry.evicted_histograms
 
 let test_trace_id_stamping () =
   (* no collector: stamping is a no-op, reading yields None *)
@@ -340,9 +376,11 @@ let () =
           Alcotest.test_case "label escaping round-trips" `Quick test_label_escaping;
           Alcotest.test_case "parse inverts render" `Quick test_exposition_roundtrip;
           Alcotest.test_case "version header enforced" `Quick
-            test_exposition_version_check ] );
-      ("lru", [ qt prop_lru_model ]);
+            test_exposition_version_check;
+          qt prop_histogram_read_back ] );
+      ( "lru",
+        [ qt prop_lru_model;
+          Alcotest.test_case "capacity below 1 refused" `Quick test_lru_capacity_floor ] );
       ( "telemetry",
         [ Alcotest.test_case "histogram key-space LRU" `Quick test_telemetry_histo_lru;
-          Alcotest.test_case "cap <= 0 is unbounded" `Quick test_telemetry_histo_unbounded;
           Alcotest.test_case "trace id stamping" `Quick test_trace_id_stamping ] ) ]

@@ -952,9 +952,9 @@ let test_serve_reload_anchored () =
   Sys.remove v2
 
 let test_serve_oversized_line () =
-  with_server { (base_config (fresh_addr ())) with max_line_bytes = 128 } @@ fun c ->
+  with_server (base_config (fresh_addr ())) @@ fun c ->
   (* an oversize request line is answered (not fatal) and drained *)
-  (match Client.request c (eval_req "big" (String.make 256 'a')) with
+  (match Client.request c (eval_req "big" (String.make (Server.max_line_bytes + 1) 'a')) with
   | Ok (_, Protocol.R_malformed reason) ->
     Alcotest.(check bool) "names the bound" true (contains reason "exceeds")
   | Ok _ -> Alcotest.fail "expected malformed for an oversize line"
@@ -963,6 +963,88 @@ let test_serve_oversized_line () =
   | Ok ("p", Protocol.R_ok _) -> ()
   | Ok _ -> Alcotest.fail "connection must survive an oversize line"
   | Error e -> Alcotest.failf "ping after oversize: %s" e
+
+(* The server closes a connection's socket once its peer hangs up, so
+   the process's descriptor count follows its live connections.  The
+   close runs on the server's side after its reader sees EOF:
+   [settle_fds] waits for it. *)
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let settle_fds target =
+  let rec go tries =
+    let n = open_fds () in
+    if n <= target || tries = 0 then n
+    else begin
+      Thread.delay 0.02;
+      go (tries - 1)
+    end
+  in
+  go 250
+
+let connect_exn addr =
+  match Client.connect addr with Ok c -> c | Error e -> Alcotest.failf "connect: %s" e
+
+let test_serve_closes_connections () =
+  let cfg = base_config (fresh_addr ()) in
+  with_server cfg @@ fun _ ->
+  let before = open_fds () in
+  for i = 1 to 200 do
+    let c = connect_exn cfg.Server.addr in
+    (match Client.request c (Protocol.Ping { id = "p" }) with
+    | Ok ("p", Protocol.R_ok _) -> ()
+    | Ok _ -> Alcotest.fail "ping: expected ok"
+    | Error e -> Alcotest.failf "ping %d: %s" i e);
+    Client.close c
+  done;
+  let after = settle_fds (before + 4) in
+  Alcotest.(check bool)
+    (Printf.sprintf "descriptors %d before, %d after 200 connections" before after)
+    true (after <= before + 4)
+
+(* The per-client label cap counts open connections: while 64 eval
+   connections hold labels the next one counts under "other"; a closed
+   connection's count moves to "other", and a new connection gets its
+   own label again. *)
+let test_serve_client_labels_follow_connections () =
+  let cfg = base_config (fresh_addr ()) in
+  with_server cfg @@ fun c ->
+  let eval conn =
+    match Client.request conn (eval_req "q" "S(x)") with
+    | Ok (_, Protocol.R_outcome { verdict = Complete _; _ }) -> ()
+    | Ok _ -> Alcotest.fail "eval: expected complete"
+    | Error e -> Alcotest.failf "eval: %s" e
+  in
+  let client_count label =
+    match Client.request c (Protocol.Metrics { id = "m" }) with
+    | Ok (_, Protocol.R_ok j) -> (
+      match Option.bind (Json.member "exposition" j) Json.to_str_opt with
+      | Some text ->
+        Fq_core.Aggregate.parse_exposition text
+        |> List.find_map (fun (m, l, v) ->
+               if m = "fq_client_requests_total" && l = [ ("client", label) ] then Some v
+               else None)
+        |> Option.value ~default:0.
+      | None -> Alcotest.fail "metrics: no exposition")
+    | Ok _ -> Alcotest.fail "metrics: expected ok"
+    | Error e -> Alcotest.failf "metrics: %s" e
+  in
+  let before = open_fds () in
+  (* [c] is connection 1 and never evals; these are connections 2..66 *)
+  let held = List.init 65 (fun _ -> connect_exn cfg.Server.addr) in
+  List.iter eval held;
+  Alcotest.(check (float 0.)) "the 65th eval connection counts as other" 1.
+    (client_count "other");
+  Alcotest.(check (float 0.)) "the 64th keeps its label" 1. (client_count "c65");
+  List.iter Client.close held;
+  ignore (settle_fds (before + 4));
+  Alcotest.(check (float 0.)) "closed connections count under other" 65.
+    (client_count "other");
+  Alcotest.(check (float 0.)) "a closed connection's sample is gone" 0. (client_count "c65");
+  let fresh = connect_exn cfg.Server.addr in
+  eval fresh;
+  Alcotest.(check (float 0.)) "a connection after the close-out gets its own label" 1.
+    (client_count "c67");
+  Client.close fresh
 
 (* A resume token whose row does not match its arity is a malformed
    request: the reply says so, and the same connection then answers a
@@ -1017,7 +1099,6 @@ let test_serve_watchdog () =
   let cfg =
     { (base_config (fresh_addr ())) with
       jobs = 1;
-      watchdog_grace_ms = 100;
       extra_domains = [ ("wedge", wedged) ] }
   in
   with_server cfg @@ fun c ->
@@ -1127,7 +1208,7 @@ let test_compaction_keeps_late_verdicts () =
   let snap = fresh_journal () in
   let jpath = snap ^ ".journal" in
   (* ~2 MB of snapshot: more than a pipe buffers, so the save blocks *)
-  let filler = Decide_cache.create ~capacity:4096 () in
+  let filler = Decide_cache.create () in
   for i = 0 to 1999 do
     Decide_cache.restore filler
       (Fq_logic.Parser.formula_exn (Printf.sprintf "exists x. x = %d" i))
@@ -1167,7 +1248,7 @@ let test_compaction_keeps_late_verdicts () =
   let crashed = fresh_journal () in
   write_file crashed published;
   write_file jpath journal;
-  let recovered = Decide_cache.create ~capacity:4096 () in
+  let recovered = Decide_cache.create () in
   List.iter
     (fun path ->
       match Decide_cache.load recovered path with
@@ -1689,6 +1770,10 @@ let () =
             test_serve_reload_anchored;
           Alcotest.test_case "oversize line answered and drained" `Quick
             test_serve_oversized_line;
+          Alcotest.test_case "closed connections release their descriptors" `Quick
+            test_serve_closes_connections;
+          Alcotest.test_case "client labels follow live connections" `Quick
+            test_serve_client_labels_follow_connections;
           Alcotest.test_case "ragged resume token answered, connection kept" `Quick
             test_serve_ragged_resume_token;
           Alcotest.test_case "failed snapshot save leaves the old snapshot intact" `Quick
